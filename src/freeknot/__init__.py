@@ -29,7 +29,6 @@ from .brackets import (
     kauffman_bracket,
     kdelta,
     resolve,
-    smooth,
     split_smoothing,
 )
 from .diagrams import (
@@ -39,6 +38,7 @@ from .diagrams import (
     FramedDiagram,
     GaussCode,
     PreconditionError,
+    as_code,
     canonical_of,
     canonicalize,
     component_count,

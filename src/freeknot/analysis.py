@@ -25,13 +25,15 @@ from .diagrams import (
     BudgetError,
     CanonicalCode,
     CodeError,
-    FramedDiagram,
     GaussCode,
     PreconditionError,
+    as_code,
     canonical_of,
     canonicalize,
     component_count,
     from_framed,
+    parse_gauss_code,
+    raw_arrangements,
     to_framed,
 )
 from .moves import find_all_moves, apply_move, find_r2
@@ -44,12 +46,6 @@ from .parity import (
 )
 
 REALIZABLE_MAX_VERTICES = 8
-
-
-def _as_framed(code) -> FramedDiagram:
-    if isinstance(code, FramedDiagram):
-        return code
-    return to_framed(code)
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +68,10 @@ class MinimalityCertificate:
 def lower_bound_knot(code) -> MinimalityCertificate:
     """max(largest one-component bracket term, largest composed-bracket term
     plus one); empty sums contribute zero."""
-    d = _as_framed(code)
-    can = canonical_of(d)
-    a = alex_bracket(d)
-    kd = kdelta(d)
-    a_bound = a.max_term_vertices() if a.terms else 0
+    can = canonical_of(code)
+    a = alex_bracket(code)
+    kd = kdelta(code)
+    a_bound = a.max_term_vertices()
     kd_bound = kd.max_term_vertices() + 1 if kd.terms else 0
     if kd_bound > a_bound:
         bound, name, sum_ = kd_bound, "kdelta", kd
@@ -88,19 +83,16 @@ def lower_bound_knot(code) -> MinimalityCertificate:
 
 def lower_bound_link2(code) -> MinimalityCertificate:
     """Largest term of the two-component bracket."""
-    d = _as_framed(code)
-    can = canonical_of(d)
-    kb = kauffman_bracket(d)
-    bound = kb.max_term_vertices() if kb.terms else 0
+    can = canonical_of(code)
+    kb = kauffman_bracket(code)
+    bound = kb.max_term_vertices()
     witness = max(kb.terms, key=lambda t: (t.chord_count, t)) if kb.terms else None
     return MinimalityCertificate(can, bound, "kauffman", witness, bound == can.chord_count)
 
 
 def intersection_graph(code) -> InterlacementGraph:
     """Interlacement graph of a one-component code (realizability input)."""
-    c = code.code() if isinstance(code, CanonicalCode) else code
-    if isinstance(c, FramedDiagram):
-        c = from_framed(c)
+    c = as_code(code)
     if c.component_count != 1:
         raise PreconditionError("intersection graph requires one component")
     return interlacement(c)
@@ -179,14 +171,6 @@ def graphs_isomorphic(g1: InterlacementGraph, g2: InterlacementGraph) -> bool:
     return place(0)
 
 
-def _all_one_circle_codes(n: int):
-    """Raw double-occurrence words with n chords ((2n-1)!! of them)."""
-    from .diagrams import _matching_to_words, _perfect_matchings
-
-    for matching in _perfect_matchings(tuple(range(2 * n))):
-        yield GaussCode(_matching_to_words(matching, (2 * n,)))
-
-
 def realizable(g: InterlacementGraph) -> CanonicalCode | None:
     """Witness one-circle code whose interlacement graph is isomorphic to
     ``g``, or None after an exhaustive scan of all double-occurrence words
@@ -196,14 +180,9 @@ def realizable(g: InterlacementGraph) -> CanonicalCode | None:
         raise BudgetError(f"realizability scan is bounded at {REALIZABLE_MAX_VERTICES} vertices")
     if n == 0:
         return canonicalize(GaussCode((), 1)) if not g.edges else None
-    target_degs = sorted(g.degree(v) for v in g.vertices)
-    for code in _all_one_circle_codes(n):
-        h = interlacement(code)
-        if len(h.edges) != len(g.edges):
-            continue
-        if sorted(h.degree(v) for v in h.vertices) != target_degs:
-            continue
-        if graphs_isomorphic(h, g):
+    for words in raw_arrangements(n, 1):
+        code = GaussCode(words)
+        if graphs_isomorphic(interlacement(code), g):
             return canonicalize(code)
     return None
 
@@ -273,7 +252,7 @@ def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, 
 def bfs_equivalent(a, b, max_vertices: int, max_depth: int) -> SearchReport:
     """Bounded reachability between two codes; can certify equivalence but
     never inequivalence."""
-    ca, cb = _to_canonical(a), _to_canonical(b)
+    ca, cb = canonical_of(a), canonical_of(b)
     if ca.component_count != cb.component_count:
         raise PreconditionError("codes with different component counts are never equivalent")
     return _bfs(ca, cb, max_vertices, max_depth)
@@ -281,15 +260,7 @@ def bfs_equivalent(a, b, max_vertices: int, max_depth: int) -> SearchReport:
 
 def explore_moves(a, max_vertices: int, max_depth: int) -> SearchReport:
     """Full bounded sweep from one code (no target)."""
-    return _bfs(_to_canonical(a), None, max_vertices, max_depth)
-
-
-def _to_canonical(code) -> CanonicalCode:
-    if isinstance(code, CanonicalCode):
-        return code
-    if isinstance(code, FramedDiagram):
-        return canonical_of(code)
-    return canonicalize(code)
+    return _bfs(canonical_of(a), None, max_vertices, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +305,7 @@ def random_moves(code, count: int, max_vertices: int, seed) -> GaussCode:
     """Apply ``count`` uniformly chosen applicable moves under the vertex
     budget; stops early only if no move applies."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    d = _as_framed(code)
+    d = to_framed(code)
     for _ in range(count):
         insts = find_all_moves(d, max_vertices)
         if not insts:
@@ -397,8 +368,6 @@ def search_minimal_fixtures(limit: int | None = 1) -> list[tuple[GaussCode, Gaus
 
 def load_fixture(name: str) -> GaussCode:
     """Read a shipped fixture ('k1' or 'l1'): Gauss-code text, '#' comments."""
-    from .diagrams import parse_gauss_code
-
     text = resources.files("freeknot.fixtures").joinpath(f"{name}.gauss").read_text()
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if len(lines) != 1:

@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .diagrams import (
+    BudgetError,
     CanonicalCode,
     CodeError,
     FramedDiagram,
@@ -38,6 +39,9 @@ CTX_LINK2 = "link2"
 
 #: the two smoothing selectors: A joins slots (0,1),(2,3); B joins (0,3),(1,2)
 SMOOTHING_PAIRINGS = {"A": PAIRING_A, "B": PAIRING_B}
+
+#: most even crossings a state sum smooths (2^20 states, about two minutes)
+STATE_SUM_MAX_EVENS = 20
 
 
 @dataclass(frozen=True)
@@ -93,19 +97,10 @@ def formal_sum(context: str, terms=()) -> FormalSum:
 # Smoothing
 
 
-def smooth(d: FramedDiagram, v, choice: str) -> FramedDiagram:
-    """Delete vertex ``v`` and repaste its half-edges per the choice; the
-    rest of the diagram is untouched, and closing splices become free
-    loops."""
-    if choice not in SMOOTHING_PAIRINGS:
-        raise CodeError(f"smoothing choice must be 'A' or 'B', got {choice!r}")
-    if (v, 0) not in d.mate:
-        raise CodeError(f"vertex {v!r} not in diagram")
-    return splice_out(d, {v: SMOOTHING_PAIRINGS[choice]})
-
-
 def resolve(d: FramedDiagram, choices: dict) -> FramedDiagram:
-    """Smooth several vertices simultaneously (vertex -> 'A'/'B')."""
+    """Smooth several vertices simultaneously (vertex -> 'A'/'B'): delete
+    each and repaste its half-edges per its choice; the rest of the diagram
+    is untouched, and closing splices become free loops."""
     for v, choice in choices.items():
         if choice not in SMOOTHING_PAIRINGS:
             raise CodeError(f"smoothing choice must be 'A' or 'B', got {choice!r}")
@@ -114,16 +109,13 @@ def resolve(d: FramedDiagram, choices: dict) -> FramedDiagram:
     return splice_out(d, {v: SMOOTHING_PAIRINGS[c] for v, c in choices.items()})
 
 
-def _as_framed(code) -> FramedDiagram:
-    if isinstance(code, FramedDiagram):
-        return code
-    return to_framed(code)
-
-
-def _require_components(d: FramedDiagram, n: int, what: str):
+def _framed(code, n: int, what: str) -> FramedDiagram:
+    """The framed graph of ``code``, which must have ``n`` components."""
+    d = to_framed(code)
     k = component_count(d)
     if k != n:
         raise PreconditionError(f"{what} requires {n} unicursal component(s), found {k}")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +127,7 @@ def split_smoothing(d: FramedDiagram, v) -> FramedDiagram:
     two components (same-circle chords split into n or n+1 components, so
     exactly one choice qualifies)."""
     n = component_count(d)
-    results = [smooth(d, v, c) for c in ("A", "B")]
+    results = [splice_out(d, {v: pairing}) for pairing in (PAIRING_A, PAIRING_B)]
     hits = [r for r in results if component_count(r) == n + 1]
     if len(hits) != 1:
         raise CodeError(f"expected exactly one splitting smoothing at {v!r}, got {len(hits)}")
@@ -145,8 +137,7 @@ def split_smoothing(d: FramedDiagram, v) -> FramedDiagram:
 def delta_terms(code) -> list[tuple]:
     """Per-crossing raw summands of ``delta`` before cancellation: a list of
     (vertex, reduced canonical code, saw_free_loop)."""
-    d = _as_framed(code)
-    _require_components(d, 1, "delta")
+    d = _framed(code, 1, "delta")
     out = []
     for v in d.vertices():
         term = split_smoothing(d, v)
@@ -178,7 +169,10 @@ def delta(code) -> FormalSum:
 
 def _state_sum(d: FramedDiagram, even_vertices: list, keep) -> set:
     """XOR of reduced states over all smoothings of ``even_vertices``.
-    ``keep(resolved, reduced, saw)`` filters states."""
+    ``keep(resolved, reduced, saw)`` filters states; over budget, none is built."""
+    if len(even_vertices) > STATE_SUM_MAX_EVENS:
+        raise BudgetError(f"{len(even_vertices)} even crossings; "
+                          f"state sums stop at {STATE_SUM_MAX_EVENS}")
     support: set = set()
     for assignment in itertools.product("AB", repeat=len(even_vertices)):
         state = resolve(d, dict(zip(even_vertices, assignment)))
@@ -191,10 +185,9 @@ def _state_sum(d: FramedDiagram, even_vertices: list, keep) -> set:
 def alex_bracket(code) -> FormalSum:
     """Smooth all Gaussian-even crossings, keep one-component states, reduce;
     valued in ``knot``.  With every crossing odd the sum is the single term
-    given by reducing the diagram itself."""
-    d = _as_framed(code)
-    _require_components(d, 1, "alex_bracket")
-    par = gaussian_parity(code if not isinstance(code, FramedDiagram) else d)
+    given by reducing the diagram itself.  Budget: ``STATE_SUM_MAX_EVENS``."""
+    d = _framed(code, 1, "alex_bracket")
+    par = gaussian_parity(d)
     evens = sorted((v for v in d.vertices() if not par.is_odd(v)), key=str)
     support = _state_sum(d, evens, lambda state, reduced, saw: component_count(state) == 1)
     return formal_sum(CTX_KNOT, support)
@@ -203,10 +196,9 @@ def alex_bracket(code) -> FormalSum:
 def kauffman_bracket(code) -> FormalSum:
     """Smooth all component-parity-even crossings of a two-component
     diagram; every state is kept unless it acquires a free loop; valued in
-    ``link``."""
-    d = _as_framed(code)
-    _require_components(d, 2, "kauffman_bracket")
-    par = component_parity(code if not isinstance(code, FramedDiagram) else d)
+    ``link``.  Budget: ``STATE_SUM_MAX_EVENS``."""
+    d = _framed(code, 2, "kauffman_bracket")
+    par = component_parity(d)
     evens = sorted((v for v in d.vertices() if not par.is_odd(v)), key=str)
     support = _state_sum(d, evens, lambda state, reduced, saw: not saw)
     return formal_sum(CTX_LINK, support)
@@ -215,8 +207,7 @@ def kauffman_bracket(code) -> FormalSum:
 def kdelta(code) -> FormalSum:
     """Linear extension of the two-component bracket along ``delta``:
     XOR of ``kauffman_bracket`` over the delta terms, in ``link``."""
-    d = _as_framed(code)
-    _require_components(d, 1, "kdelta")
+    d = _framed(code, 1, "kdelta")
     total = formal_sum(CTX_LINK)
     for term in delta(d).terms:
         total ^= kauffman_bracket(term)

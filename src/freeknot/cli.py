@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import analysis, brackets, moves, parity
 from .diagrams import (
@@ -21,7 +22,6 @@ from .diagrams import (
     GaussCode,
     PreconditionError,
     canonicalize,
-    component_count,
     enumerate_codes,
     parse_gauss_code,
     render_gauss_code,
@@ -35,10 +35,10 @@ EXIT_BUDGET = 3
 
 
 def _read_input(args) -> str:
-    if getattr(args, "file", None):
+    if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
             return fh.read()
-    if getattr(args, "code", None) is not None:
+    if args.code is not None:
         return args.code
     raise CodeError("no input: pass CODE inline or --file PATH")
 
@@ -47,251 +47,192 @@ def _input_code(args) -> GaussCode:
     return parse_gauss_code(_read_input(args))
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _text(value) -> str:
+    """A payload value in text output: true/false, ``-`` for None."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "-" if value is None else str(value)
 
 
-def _bool(x: bool) -> str:
-    return "true" if x else "false"
-
-
-def _sum_output(args, command: str, s: brackets.FormalSum) -> None:
-    terms = [str(t) for t in s.sorted_terms()]
-    if args.format == "json":
-        print(json.dumps(terms))
-    else:
-        if not terms:
-            print("0")
-        for t in terms:
-            print(t)
+def _fields(payload: dict, *keys) -> list[str]:
+    """Text lines ``key: value`` for the given payload keys, all by default."""
+    return [f"{k}: {_text(payload[k])}" for k in keys or payload]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (JSON payload, text lines[, exit status]);
+# ``main`` adds the subcommand name to a payload dict as "command"
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args):
     code = _input_code(args)
-    _emit(args, {
-        "command": "parse",
+    out = {
         "code": render_gauss_code(code),
         "components": code.component_count,
         "chords": code.chord_count,
         "free_loops": code.free_loops,
-    }, [
-        render_gauss_code(code),
-        f"components: {code.component_count}",
-        f"chords: {code.chord_count}",
-        f"free_loops: {code.free_loops}",
-    ])
-    return EXIT_OK
+    }
+    return out, [out["code"]] + _fields(out, "components", "chords", "free_loops")
 
 
-def _cmd_canon(args) -> int:
-    can = canonicalize(_input_code(args))
-    _emit(args, {"command": "canon", "code": str(can)}, [str(can)])
-    return EXIT_OK
+def _cmd_canon(args):
+    can = str(canonicalize(_input_code(args)))
+    return {"code": can}, [can]
 
 
-def _cmd_components(args) -> int:
-    code = _input_code(args)
-    _emit(args, {"command": "components", "count": code.component_count},
-          [str(code.component_count)])
-    return EXIT_OK
+def _cmd_components(args):
+    count = _input_code(args).component_count
+    return {"count": count}, [str(count)]
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args):
     reduced, saw = moves.reduce_r2(_input_code(args))
-    _emit(args, {"command": "reduce", "code": str(reduced), "saw_free_loop": saw},
-          [str(reduced), f"saw_free_loop: {_bool(saw)}"])
-    return EXIT_OK
+    out = {"code": str(reduced), "saw_free_loop": saw}
+    return out, [out["code"]] + _fields(out, "saw_free_loop")
 
 
-def _cmd_parity(args) -> int:
+def _cmd_parity(args):
     code = _input_code(args)
     pa = parity.parity(code, args.rule)
-    items = [(str(lab), "odd" if pa.is_odd(lab) else "even") for lab in pa.chords]
-    _emit(args, {"command": "parity", "rule": args.rule, "parities": dict(items)},
-          [f"{lab}: {val}" for lab, val in items])
-    return EXIT_OK
+    parities = {str(lab): "odd" if pa.is_odd(lab) else "even" for lab in pa.chords}
+    return {"rule": args.rule, "parities": parities}, _fields(parities)
 
 
-def _cmd_orientable(args) -> int:
+def _cmd_orientable(args):
     ok = parity.source_sink_orientable(to_framed(_input_code(args)))
-    _emit(args, {"command": "orientable", "orientable": ok}, [_bool(ok)])
-    return EXIT_OK
+    return {"orientable": ok}, [_text(ok)]
 
 
-def _graph_payload(g: parity.InterlacementGraph):
-    edges = sorted(sorted((str(a), str(b))) for a, b in
-                   (tuple(e) for e in g.edges))
-    return [str(v) for v in g.vertices], [list(e) for e in edges]
-
-
-def _cmd_interlacement(args) -> int:
+def _cmd_interlacement(args):
     g = parity.interlacement(_input_code(args))
-    verts, edges = _graph_payload(g)
     if args.format == "dot":
-        print(g.to_dot())
-    else:
-        _emit(args, {"command": "interlacement", "vertices": verts, "edges": edges},
-              ["vertices: " + " ".join(verts)] + [f"{a} {b}" for a, b in edges])
-    return EXIT_OK
+        return None, [g.to_dot()]
+    verts = [str(v) for v in g.vertices]
+    edges = sorted(sorted((str(a), str(b))) for a, b in (tuple(e) for e in g.edges))
+    return ({"vertices": verts, "edges": edges},
+            ["vertices: " + " ".join(verts)] + [f"{a} {b}" for a, b in edges])
 
 
-def _cmd_delta(args) -> int:
-    _sum_output(args, "delta", brackets.delta(_input_code(args)))
-    return EXIT_OK
+def _sum(name: str):
+    """Handler giving the sorted terms of ``brackets.<name>`` of the input (text
+    ``0`` if none).  The name is looked up per call, so a rebinding is seen."""
+    def handler(args):
+        terms = [str(t) for t in getattr(brackets, name)(_input_code(args)).sorted_terms()]
+        return terms, terms or ["0"]
+    return handler
 
 
-def _cmd_abracket(args) -> int:
-    _sum_output(args, "abracket", brackets.alex_bracket(_input_code(args)))
-    return EXIT_OK
-
-
-def _cmd_kbracket(args) -> int:
-    _sum_output(args, "kbracket", brackets.kauffman_bracket(_input_code(args)))
-    return EXIT_OK
-
-
-def _cmd_kdelta(args) -> int:
-    _sum_output(args, "kdelta", brackets.kdelta(_input_code(args)))
-    return EXIT_OK
-
-
-def _cmd_bound(args) -> int:
+def _cmd_bound(args):
     code = _input_code(args)
-    k = component_count(to_framed(code))
-    if k == 1:
-        cert = analysis.lower_bound_knot(code)
-    elif k == 2:
-        cert = analysis.lower_bound_link2(code)
-    else:
+    k = code.component_count
+    bound = {1: analysis.lower_bound_knot, 2: analysis.lower_bound_link2}.get(k)
+    if bound is None:
         raise PreconditionError(f"bounds exist for 1- or 2-component diagrams, found {k}")
-    term = str(cert.witness_term) if cert.witness_term is not None else None
-    _emit(args, {
-        "command": "bound",
+    cert = bound(code)
+    out = {
         "diagram": str(cert.diagram),
         "bound": cert.bound,
         "tight": cert.tight,
         "witness": cert.witness_invariant,
-        "term": term,
-    }, [
-        f"diagram: {cert.diagram}",
-        f"bound: {cert.bound}",
-        f"tight: {_bool(cert.tight)}",
-        f"witness: {cert.witness_invariant}",
-        f"term: {term if term is not None else '-'}",
-    ])
-    return EXIT_OK
+        "term": str(cert.witness_term) if cert.witness_term is not None else None,
+    }
+    return out, _fields(out)
 
 
-def _cmd_realizable(args) -> int:
+def _cmd_realizable(args):
     g = analysis.parse_adjacency(_read_input(args))
     witness = analysis.realizable(g)
-    _emit(args, {
-        "command": "realizable",
-        "realizable": witness is not None,
-        "witness": str(witness) if witness is not None else None,
-    }, [str(witness) if witness is not None else "not realizable"])
-    return EXIT_OK
+    text = str(witness) if witness is not None else None
+    return {"realizable": witness is not None, "witness": text}, [text or "not realizable"]
 
 
-def _cmd_bfs(args) -> int:
+def _cmd_bfs(args):
     a = parse_gauss_code(args.code)
     b = parse_gauss_code(args.code2)
     report = analysis.bfs_equivalent(a, b, args.max_vertices, args.max_depth)
-    path = list(report.path) if report.path is not None else None
-    _emit(args, {
-        "command": "bfs",
+    out = {
         "reached": report.reached,
         "visited": report.visited,
         "min_vertices": report.min_vertices,
         "depth": report.depth_reached,
-        "path": path,
-    }, [
-        f"reached: {_bool(bool(report.reached))}",
-        f"visited: {report.visited}",
-        f"min_vertices: {report.min_vertices}",
-        f"depth: {report.depth_reached}",
-    ] + ([f"path: {' ; '.join(path)}"] if path else []))
-    return EXIT_OK if report.reached else EXIT_BUDGET
+        "path": list(report.path) if report.path is not None else None,
+    }
+    lines = _fields(out, "reached", "visited", "min_vertices", "depth")
+    if out["path"]:
+        lines.append(f"path: {' ; '.join(out['path'])}")
+    return out, lines, EXIT_OK if report.reached else EXIT_BUDGET
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     codes = [str(c) for c in enumerate_codes(args.n, args.k)]
-    if args.format == "json":
-        print(json.dumps({"command": "enumerate", "codes": codes}, sort_keys=True))
-    else:
-        for c in codes:
-            print(c)
-    return EXIT_OK
+    return {"codes": codes}, codes
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args):
     code = analysis.random_diagram(args.n, args.k, args.seed)
     if args.moves:
         code = analysis.random_moves(code, args.moves, args.max_vertices, args.seed + 1)
-    _emit(args, {"command": "random", "code": render_gauss_code(code)},
-          [render_gauss_code(code)])
-    return EXIT_OK
+    return {"code": render_gauss_code(code)}, [render_gauss_code(code)]
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the subcommand table and the parser
+
+
+class Spec(NamedTuple):
+    """One subcommand.  ``args`` are (name, argparse keywords) pairs added
+    after the Gauss-code input (CODE or --file, if ``code``) and --format."""
+
+    handler: Callable
+    help: str
+    args: tuple = ()
+    code: bool = True
+    formats: tuple = ("text", "json")
+
+
+_INT = {"type": int}
+_INT_REQUIRED = {"type": int, "required": True}
+
+COMMANDS = {
+    "parse": Spec(_cmd_parse, "validate a code and echo its shape"),
+    "canon": Spec(_cmd_canon, "canonical form of a code"),
+    "components": Spec(_cmd_components, "number of unicursal components"),
+    "reduce": Spec(_cmd_reduce, "unique R2-irreducible representative"),
+    "parity": Spec(_cmd_parity, "odd/even marking of every chord",
+                   (("--rule", {"choices": (parity.GAUSSIAN, parity.COMPONENT), "required": True}),)),
+    "orientable": Spec(_cmd_orientable, "source-sink orientability"),
+    "interlacement": Spec(_cmd_interlacement, "chord interlacement graph",
+                          formats=("text", "json", "dot")),
+    "delta": Spec(_sum("delta"), "two-component splitting sum"),
+    "abracket": Spec(_sum("alex_bracket"), "even-smoothing bracket of a knot diagram"),
+    "kbracket": Spec(_sum("kauffman_bracket"), "even-smoothing bracket of a 2-component diagram"),
+    "kdelta": Spec(_sum("kdelta"), "bracket composed along the splitting sum"),
+    "bound": Spec(_cmd_bound, "minimality certificate from the state sums"),
+    "realizable": Spec(_cmd_realizable,
+                       "witness diagram for an abstract graph (adjacency lines 'u: v w')"),
+    "bfs": Spec(_cmd_bfs, "bounded reachability between two codes", (
+        ("code", {"help": "start Gauss code"}), ("code2", {"help": "target Gauss code"}),
+        ("--max-vertices", _INT_REQUIRED), ("--max-depth", _INT_REQUIRED)), code=False),
+    "enumerate": Spec(_cmd_enumerate, "all diagram classes with n chords, k components",
+                      (("n", _INT), ("k", _INT)), code=False),
+    "random": Spec(_cmd_random, "seeded random diagram, optionally scrambled by moves", (
+        ("n", _INT), ("k", _INT), ("--seed", _INT_REQUIRED), ("--moves", {"type": int, "default": 0}),
+        ("--max-vertices", {"type": int, "default": 12})), code=False),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="freeknot", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_, code_arg=True, fmt=("text", "json")):
-        p = sub.add_parser(name, help=help_)
-        if code_arg:
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        if spec.code:
             p.add_argument("code", nargs="?", help="Gauss code (or use --file)")
             p.add_argument("--file", help="read the input from a file")
-        p.add_argument("--format", choices=fmt, default="text")
-        p.set_defaults(handler=handler)
-        return p
-
-    add("parse", _cmd_parse, "validate a code and echo its shape")
-    add("canon", _cmd_canon, "canonical form of a code")
-    add("components", _cmd_components, "number of unicursal components")
-    add("reduce", _cmd_reduce, "unique R2-irreducible representative")
-    p = add("parity", _cmd_parity, "odd/even marking of every chord")
-    p.add_argument("--rule", choices=(parity.GAUSSIAN, parity.COMPONENT), required=True)
-    add("orientable", _cmd_orientable, "source-sink orientability")
-    add("interlacement", _cmd_interlacement, "chord interlacement graph",
-        fmt=("text", "json", "dot"))
-    add("delta", _cmd_delta, "two-component splitting sum")
-    add("abracket", _cmd_abracket, "even-smoothing bracket of a knot diagram")
-    add("kbracket", _cmd_kbracket, "even-smoothing bracket of a 2-component diagram")
-    add("kdelta", _cmd_kdelta, "bracket composed along the splitting sum")
-    add("bound", _cmd_bound, "minimality certificate from the state sums")
-    add("realizable", _cmd_realizable, "witness diagram for an abstract graph (adjacency lines 'u: v w')")
-
-    p = add("bfs", _cmd_bfs, "bounded reachability between two codes", code_arg=False)
-    p.add_argument("code", help="start Gauss code")
-    p.add_argument("code2", help="target Gauss code")
-    p.add_argument("--max-vertices", type=int, required=True)
-    p.add_argument("--max-depth", type=int, required=True)
-
-    p = add("enumerate", _cmd_enumerate, "all diagram classes with n chords, k components",
-            code_arg=False)
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-
-    p = add("random", _cmd_random, "seeded random diagram, optionally scrambled by moves",
-            code_arg=False)
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--moves", type=int, default=0)
-    p.add_argument("--max-vertices", type=int, default=12)
+        p.add_argument("--format", choices=spec.formats, default="text")
+        for arg, kwargs in spec.args:
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(handler=spec.handler)
     return ap
 
 
@@ -302,16 +243,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.handler(args)
-    except (PreconditionError,) as exc:
+        payload, lines, *status = args.handler(args)
+        if args.format == "json":
+            if isinstance(payload, dict):
+                payload = {"command": args.command, **payload}
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        return status[0] if status else EXIT_OK
+    except (PreconditionError, BudgetError, CodeError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (CodeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, PreconditionError):
+            return EXIT_PRECONDITION
+        return EXIT_BUDGET if isinstance(exc, BudgetError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ A diagram is stored in two interchangeable forms:
 The traversal convention ties the two together: a closed curve always leaves
 a vertex through the slot opposite to the one it entered.  Diagram equality
 is canonical-form equality (``canonicalize``), which minimises over component
-order, rotations, reflections and relabelings.  Nothing here is oriented and
-nothing carries over/under data.
+order, rotations, reflections and relabelings.  ``as_code`` and ``to_framed``
+take any form, ``CanonicalCode`` too.  Nothing is oriented or has over/under data.
 """
 
 from __future__ import annotations
@@ -49,8 +49,20 @@ def opposite(slot: int) -> int:
 # Gauss codes
 
 
+class _WordCounts:
+    """Sizes of a word form: ``words`` plus ``free_loops``."""
+
+    @property
+    def chord_count(self) -> int:
+        return sum(len(w) for w in self.words) // 2
+
+    @property
+    def component_count(self) -> int:
+        return len(self.words) + self.free_loops
+
+
 @dataclass(frozen=True)
-class GaussCode:
+class GaussCode(_WordCounts):
     """Cyclic double-occurrence words plus a free-loop count.
 
     ``words`` holds one tuple of labels per circle component that passes
@@ -74,14 +86,6 @@ class GaussCode:
         if bad:
             detail = ", ".join(f"{lab!r} occurs {c} time(s)" for lab, c in sorted(bad.items(), key=repr))
             raise CodeError(f"every chord label must occur exactly twice: {detail}")
-
-    @property
-    def chord_count(self) -> int:
-        return sum(len(w) for w in self.words) // 2
-
-    @property
-    def component_count(self) -> int:
-        return len(self.words) + self.free_loops
 
     def labels(self) -> list:
         seen = []
@@ -113,7 +117,7 @@ def parse_gauss_code(text: str) -> GaussCode:
         for tok in tokens:
             if tok == FREE_LOOP_TOKEN:
                 raise CodeError(f"token {FREE_LOOP_TOKEN!r} is reserved for free loops")
-            if not all(ch.isalnum() or ch == "_" for ch in tok):
+            if not all(ch.isascii() and (ch.isalnum() or ch == "_") for ch in tok):
                 raise CodeError(f"malformed token {tok!r}")
         words.append(tuple(tokens))
     return GaussCode(tuple(words), free_loops)
@@ -138,20 +142,12 @@ def _int_label_name(i: int) -> str:
 
 
 @dataclass(frozen=True, order=True)
-class CanonicalCode:
+class CanonicalCode(_WordCounts):
     """Symmetry-minimised relabeled Gauss code; the equality and hash key
     for diagrams.  Labels are first-occurrence indices 0..n-1."""
 
     words: tuple[tuple[int, ...], ...] = ()
     free_loops: int = 0
-
-    @property
-    def chord_count(self) -> int:
-        return sum(len(w) for w in self.words) // 2
-
-    @property
-    def component_count(self) -> int:
-        return len(self.words) + self.free_loops
 
     def code(self) -> GaussCode:
         return GaussCode(self.words, self.free_loops)
@@ -220,16 +216,13 @@ class FramedDiagram:
         return f"FramedDiagram({self.vertex_count} vertices, {self.free_loops} free loops)"
 
 
-def empty_diagram() -> FramedDiagram:
-    return FramedDiagram({}, 0)
-
-
-def to_framed(code: GaussCode | CanonicalCode) -> FramedDiagram:
-    """Build the framed graph of a code.  Chord labels become vertex ids.
-    First passage of a label uses slots (0 in, 2 out), the second (1, 3);
-    consecutive letters of each cyclic word are joined by edges."""
-    if isinstance(code, CanonicalCode):
-        code = code.code()
+def to_framed(code: GaussCode | CanonicalCode | FramedDiagram) -> FramedDiagram:
+    """Build the framed graph of a code (a ``FramedDiagram`` is returned as
+    is).  Chord labels become vertex ids.  First passage of a label uses slots
+    (0 in, 2 out), the second (1, 3); cyclically consecutive letters share an edge."""
+    if isinstance(code, FramedDiagram):
+        return code
+    code = as_code(code)
     mate: dict = {}
     occ_count: dict = {}
     for w in code.words:
@@ -281,6 +274,15 @@ def from_framed(d: FramedDiagram) -> GaussCode:
     """Read the Gauss code back off a framed graph; labels are vertex ids."""
     words = tuple(tuple(v for v, _ in seq) for seq in unicursal_components(d))
     return GaussCode(words, d.free_loops)
+
+
+def as_code(code: GaussCode | CanonicalCode | FramedDiagram) -> GaussCode:
+    """The Gauss code of any of the three diagram forms."""
+    if isinstance(code, FramedDiagram):
+        return from_framed(code)
+    if isinstance(code, CanonicalCode):
+        return code.code()
+    return code
 
 
 # Slot re-pairings used when a vertex is removed.  The two smoothings join
@@ -355,8 +357,7 @@ def fresh_vertex_ids(d: FramedDiagram, count: int) -> list:
 def canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
     """Minimum relabeled form over all component orders, rotations and
     per-component reflections.  Deterministic; free loops pass through."""
-    if isinstance(code, CanonicalCode):
-        code = code.code()
+    code = as_code(code)
     k = len(code.words)
     if k == 0:
         return CanonicalCode((), code.free_loops)
@@ -404,8 +405,8 @@ def canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
     return CanonicalCode(tuple(best), code.free_loops)
 
 
-def canonical_of(d: FramedDiagram) -> CanonicalCode:
-    return canonicalize(from_framed(d))
+def canonical_of(d: GaussCode | CanonicalCode | FramedDiagram) -> CanonicalCode:
+    return canonicalize(as_code(d))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +427,8 @@ def _perfect_matchings(items: tuple) -> Iterator[tuple]:
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Ordered compositions of ``total`` into ``parts`` positive parts."""
-    if parts == 0:
-        if total == 0:
+    if total == 0 or parts == 0:
+        if total == parts:
             yield ()
         return
     for cuts in itertools.combinations(range(1, total), parts - 1):
@@ -462,6 +463,13 @@ def _matching_to_words(matching: tuple, lengths: tuple[int, ...]) -> tuple:
     return tuple(words)
 
 
+def raw_arrangements(n: int, k: int) -> Iterator[tuple]:
+    """Words of all (2n-1)!! chord matchings laid on each composition of 2n into ``k``."""
+    for lengths in _compositions(2 * n, k):
+        for matching in _perfect_matchings(tuple(range(2 * n))):
+            yield _matching_to_words(matching, lengths)
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_codes(n: int, k: int) -> tuple[CanonicalCode, ...]:
     """All isomorphism classes of diagrams with ``n`` chords and ``k``
@@ -474,15 +482,6 @@ def enumerate_codes(n: int, k: int) -> tuple[CanonicalCode, ...]:
         raise BudgetError("enumeration is bounded at 8 chords")
     seen: set[CanonicalCode] = set()
     for loops in range(k + 1):
-        m = k - loops
-        if m == 0:
-            if n == 0:
-                seen.add(CanonicalCode((), loops))
-            continue
-        if n == 0:
-            continue  # word components need chords
-        for lengths in _compositions(2 * n, m):
-            for matching in _perfect_matchings(tuple(range(2 * n))):
-                words = _matching_to_words(matching, lengths)
-                seen.add(canonicalize(GaussCode(words, loops)))
+        for words in raw_arrangements(n, k - loops):
+            seen.add(canonicalize(GaussCode(words, loops)))
     return tuple(sorted(seen))

@@ -395,7 +395,7 @@ def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Rand
     intermediate or final diagram carried a free loop.  The result is
     independent of the reduction order (tested, not assumed); the default
     order is the first instance in sorted order."""
-    d = code if isinstance(code, FramedDiagram) else to_framed(code)
+    d = to_framed(code)
     saw = d.free_loops > 0
     while True:
         insts = find_r2(d)

@@ -14,23 +14,13 @@ from dataclasses import dataclass
 
 from . import moves as _moves
 from .diagrams import (
-    CanonicalCode,
     FramedDiagram,
-    GaussCode,
     PreconditionError,
-    from_framed,
+    as_code,
 )
 
 GAUSSIAN = "gaussian"
 COMPONENT = "component"
-
-
-def _as_code(code) -> GaussCode:
-    if isinstance(code, CanonicalCode):
-        return code.code()
-    if isinstance(code, FramedDiagram):
-        return from_framed(code)
-    return code
 
 
 @dataclass(frozen=True)
@@ -68,7 +58,7 @@ class InterlacementGraph:
 def interlacement(code) -> InterlacementGraph:
     """Edges join chords whose endpoints alternate on one circle; chords
     spanning two circles interlace nothing."""
-    code = _as_code(code)
+    code = as_code(code)
     pos: dict = {}
     for wi, w in enumerate(code.words):
         for i, lab in enumerate(w):
@@ -110,7 +100,7 @@ class ParityAssignment:
 
 def gaussian_parity(code) -> ParityAssignment:
     """Odd = odd interlacement degree.  One-component diagrams only."""
-    code = _as_code(code)
+    code = as_code(code)
     if code.component_count != 1:
         raise PreconditionError("gaussian parity requires exactly one component")
     g = interlacement(code)
@@ -120,7 +110,7 @@ def gaussian_parity(code) -> ParityAssignment:
 
 def component_parity(code) -> ParityAssignment:
     """Odd = endpoints on different components.  Two-component diagrams."""
-    code = _as_code(code)
+    code = as_code(code)
     if code.component_count != 2:
         raise PreconditionError("component parity requires exactly two components")
     word_of: dict = {}
@@ -205,7 +195,7 @@ def source_sink_orientable(d: FramedDiagram) -> bool:
 def is_irreducibly_odd(code) -> bool:
     """All chords Gaussian-odd and every chord pair distinguished by a third
     chord's interlacement."""
-    code = _as_code(code)
+    code = as_code(code)
     if code.component_count != 1:
         raise PreconditionError("irreducible oddness requires one component")
     g = interlacement(code)
@@ -223,8 +213,7 @@ def is_irreducibly_odd(code) -> bool:
 
 
 def _parity_map(d: FramedDiagram, rule: str) -> dict:
-    code = from_framed(d)
-    p = parity(code, rule)
+    p = parity(d, rule)
     return {lab: p.is_odd(lab) for lab in p.chords}
 
 

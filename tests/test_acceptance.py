@@ -37,7 +37,7 @@ from freeknot.brackets import (
     delta_terms,
     kauffman_bracket,
     kdelta,
-    smooth,
+    resolve,
     split_smoothing,
 )
 from freeknot.diagrams import (
@@ -199,7 +199,7 @@ def test_acceptance_04_smoothing_component_count_law():
                         for lab in w:
                             host.setdefault(lab, []).append(wi)
                     for v in d.vertices():
-                        counts = sorted(component_count(smooth(d, v, ch)) for ch in "AB")
+                        counts = sorted(component_count(resolve(d, {v: ch})) for ch in "AB")
                         if host[v][0] == host[v][1]:
                             assert counts == sorted([base, base + 1]), (c, v)
                         else:
@@ -410,9 +410,9 @@ def test_acceptance_10_unit_corpus():
     ok(not is_irreducibly_odd(code("a a")), "even chord blocks irreducible oddness")
 
     # smoothing oracle cross-checks
-    ok(sorted(smooth(to_framed(code("a a")), "a", ch).free_loops for ch in "AB") == [1, 2],
+    ok(sorted(resolve(to_framed(code("a a")), {"a": ch}).free_loops for ch in "AB") == [1, 2],
        "kink smoothings close one or two circles")
-    got = sorted(canonical_of(smooth(to_framed(code("a b a b")), "a", ch)) for ch in "AB")
+    got = sorted(canonical_of(resolve(to_framed(code("a b a b")), {"a": ch})) for ch in "AB")
     exp = sorted(canonicalize(r) for r in word_smooth(code("a b a b"), "a"))
     ok(got == exp and canonicalize(code("b | b")) in got, "split of the crossed pair")
 

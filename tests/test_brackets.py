@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from freeknot import brackets
 from freeknot.analysis import random_diagram, random_moves
 from freeknot.brackets import (
     CTX_KNOT,
     CTX_LINK,
     CTX_LINK2,
+    STATE_SUM_MAX_EVENS,
     alex_bracket,
     delta,
     delta_terms,
@@ -15,10 +17,10 @@ from freeknot.brackets import (
     kauffman_bracket,
     kdelta,
     resolve,
-    smooth,
     split_smoothing,
 )
 from freeknot.diagrams import (
+    BudgetError,
     CodeError,
     GaussCode,
     PreconditionError,
@@ -52,7 +54,7 @@ def terms_of(s):
 
 def test_smooth_single_kink_free_loop_counts():
     d = to_framed(code("a a"))
-    assert sorted(smooth(d, "a", c).free_loops for c in "AB") == [1, 2]
+    assert sorted(resolve(d, {"a": c}).free_loops for c in "AB") == [1, 2]
 
 
 def test_smooth_splits_crossed_pair():
@@ -67,7 +69,7 @@ def test_smooth_matches_word_surgery_oracle():
         c = code(t)
         d = to_framed(c)
         for v in d.vertices():
-            got = sorted(canonical_of(smooth(d, v, ch)) for ch in "AB")
+            got = sorted(canonical_of(resolve(d, {v: ch})) for ch in "AB")
             expected = sorted(canonicalize(r) for r in word_smooth(c, v))
             assert got == expected, (t, v)
 
@@ -84,7 +86,7 @@ def test_component_count_law_exhaustive_small():
                     for lab in w:
                         in_word.setdefault(lab, []).append(wi)
                 for v in d.vertices():
-                    counts = sorted(component_count(smooth(d, v, ch)) for ch in "AB")
+                    counts = sorted(component_count(resolve(d, {v: ch})) for ch in "AB")
                     if in_word[v][0] == in_word[v][1]:
                         assert counts == sorted([base, base + 1])
                     else:
@@ -289,3 +291,39 @@ def test_move_invariance_smoke():
         c = random_diagram(n, 2, rng)
         c2 = random_moves(c, rng.randint(1, 3), n + 2, rng)
         assert kauffman_bracket(c) == kauffman_bracket(c2)
+
+
+# ---------------------------------------------------------------------------
+# the state-sum budget
+
+
+def kinks(labels):
+    """One kink per label: every chord is even under both parity rules."""
+    return " ".join(f"{c} {c}" for c in labels)
+
+
+KINKS_21 = kinks("abcdefghijklmnopqrstu")
+
+
+def _no_states(d, choices):
+    raise AssertionError("a state was built")
+
+
+def test_state_sums_refuse_beyond_the_budget_before_any_state(monkeypatch):
+    assert STATE_SUM_MAX_EVENS == 20
+    monkeypatch.setattr(brackets, "resolve", _no_states)
+    with pytest.raises(BudgetError, match="^21 even crossings; state sums stop at 20$"):
+        alex_bracket(code(KINKS_21))
+    with pytest.raises(BudgetError, match="^21 even crossings"):
+        kauffman_bracket(code(KINKS_21 + " | O"))
+    # delta splits this at x and at y into two 22-chord links whose 21 kinks
+    # are all even under component parity
+    with pytest.raises(BudgetError, match="^21 even crossings"):
+        kdelta(code(f"x {kinks('abcdefghij')} y x y {kinks('klmnopqrstu')}"))
+
+
+def test_state_sum_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(brackets, "STATE_SUM_MAX_EVENS", 2)
+    assert terms_of(alex_bracket(code(kinks("ab")))) == ["O"]
+    with pytest.raises(BudgetError, match="^3 even crossings; state sums stop at 2$"):
+        alex_bracket(code(kinks("abc")))

@@ -2,6 +2,7 @@ import json
 import pathlib
 
 import jsonschema
+import pytest
 
 from freeknot.cli import main
 
@@ -140,6 +141,71 @@ def test_random_requires_seed_and_is_deterministic(capsys):
 
 
 # ---------------------------------------------------------------------------
+# pinned outputs: exact stdout and exit status of every subcommand
+
+K1 = "0 1 2 3 4 5 6 7 8 0 3 8 5 2 7 4 1 6"
+L1 = "1 2 3 4 5 6 7 8 | 1 6 3 8 5 2 7 4"
+
+PINNED = [
+    (("parse", "O | a a"), "text", 0, "O | a a\ncomponents: 2\nchords: 1\nfree_loops: 1\n"),
+    (("parse", "O | a a"), "json", 0, '{"chords": 1, "code": "O | a a", "command": "parse", "components": 2, "free_loops": 1}\n'),
+    (("canon", "b a b a"), "text", 0, "a b a b\n"),
+    (("canon", "b a b a"), "json", 0, '{"code": "a b a b", "command": "canon"}\n'),
+    (("components", "a b | a b"), "text", 0, "2\n"),
+    (("components", "a b | a b"), "json", 0, '{"command": "components", "count": 2}\n'),
+    (("reduce", "a b a b"), "text", 0, "O\nsaw_free_loop: true\n"),
+    (("reduce", "a b a b"), "json", 0, '{"code": "O", "command": "reduce", "saw_free_loop": true}\n'),
+    (("parity", "a b a c b c", "--rule", "gaussian"), "text", 0, "a: odd\nb: even\nc: odd\n"),
+    (("parity", "a b a c b c", "--rule", "gaussian"), "json", 0, '{"command": "parity", "parities": {"a": "odd", "b": "even", "c": "odd"}, "rule": "gaussian"}\n'),
+    (("parity", "a b | a b", "--rule", "component"), "text", 0, "a: odd\nb: odd\n"),
+    (("parity", "a b | a b", "--rule", "component"), "json", 0, '{"command": "parity", "parities": {"a": "odd", "b": "odd"}, "rule": "component"}\n'),
+    (("parity", "O", "--rule", "gaussian"), "text", 0, ""),
+    (("parity", "O", "--rule", "gaussian"), "json", 0, '{"command": "parity", "parities": {}, "rule": "gaussian"}\n'),
+    (("orientable", "a b b a"), "text", 0, "true\n"),
+    (("orientable", "a b b a"), "json", 0, '{"command": "orientable", "orientable": true}\n'),
+    (("interlacement", "a b a c b c"), "text", 0, "vertices: a b c\na b\nb c\n"),
+    (("interlacement", "a b a c b c"), "json", 0, '{"command": "interlacement", "edges": [["a", "b"], ["b", "c"]], "vertices": ["a", "b", "c"]}\n'),
+    (("interlacement", "a b a c b c"), "dot", 0, 'graph interlacement {\n  "a";\n  "b";\n  "c";\n  "a" -- "b";\n  "b" -- "c";\n}\n'),
+    (("delta", K1), "text", 0, "a b c d e f g h | a d g b e h c f\n"),
+    (("delta", K1), "json", 0, '["a b c d e f g h | a d g b e h c f"]\n'),
+    (("delta", "a b | a b"), "text", 2, ""),
+    (("delta", "a b | a b"), "json", 2, ""),
+    (("abracket", K1), "text", 0, "O\n"),
+    (("abracket", K1), "json", 0, '["O"]\n'),
+    (("kbracket", L1), "text", 0, "a b c d e f g h | a d g b e h c f\n"),
+    (("kbracket", L1), "json", 0, '["a b c d e f g h | a d g b e h c f"]\n'),
+    (("kbracket", "a a | b b"), "text", 0, "0\n"),
+    (("kbracket", "a a | b b"), "json", 0, "[]\n"),
+    (("kdelta", K1), "text", 0, "a b c d e f g h | a d g b e h c f\n"),
+    (("kdelta", K1), "json", 0, '["a b c d e f g h | a d g b e h c f"]\n'),
+    (("bound", K1), "text", 0, "diagram: a b c a d e f g b h i c e i g d h f\nbound: 9\ntight: true\nwitness: kdelta\nterm: a b c d e f g h | a d g b e h c f\n"),
+    (("bound", K1), "json", 0, '{"bound": 9, "command": "bound", "diagram": "a b c a d e f g b h i c e i g d h f", "term": "a b c d e f g h | a d g b e h c f", "tight": true, "witness": "kdelta"}\n'),
+    (("bound", L1), "text", 0, "diagram: a b c d e f g h | a d g b e h c f\nbound: 8\ntight: true\nwitness: kauffman\nterm: a b c d e f g h | a d g b e h c f\n"),
+    (("bound", L1), "json", 0, '{"bound": 8, "command": "bound", "diagram": "a b c d e f g h | a d g b e h c f", "term": "a b c d e f g h | a d g b e h c f", "tight": true, "witness": "kauffman"}\n'),
+    (("bound", "a a | b b"), "text", 0, "diagram: a a | b b\nbound: 0\ntight: false\nwitness: kauffman\nterm: -\n"),
+    (("bound", "a a | b b"), "json", 0, '{"bound": 0, "command": "bound", "diagram": "a a | b b", "term": null, "tight": false, "witness": "kauffman"}\n'),
+    (("bound", "O | O | O"), "text", 2, ""),
+    (("bound", "O | O | O"), "json", 2, ""),
+    (("realizable", "x: y"), "text", 0, "a b a b\n"),
+    (("realizable", "x: y"), "json", 0, '{"command": "realizable", "realizable": true, "witness": "a b a b"}\n'),
+    (("bfs", "a b a b", "O", "--max-vertices", "4", "--max-depth", "2"), "text", 0, "reached: true\nvisited: 2\nmin_vertices: 0\ndepth: 1\npath: r2-@(0, 1)\n"),
+    (("bfs", "a b a b", "O", "--max-vertices", "4", "--max-depth", "2"), "json", 0, '{"command": "bfs", "depth": 1, "min_vertices": 0, "path": ["r2-@(0, 1)"], "reached": true, "visited": 2}\n'),
+    (("bfs", "a a", "a b a b c c", "--max-vertices", "2", "--max-depth", "1"), "text", 3, "reached: false\nvisited: 3\nmin_vertices: 0\ndepth: 1\n"),
+    (("bfs", "a a", "a b a b c c", "--max-vertices", "2", "--max-depth", "1"), "json", 3, '{"command": "bfs", "depth": 1, "min_vertices": 0, "path": null, "reached": false, "visited": 3}\n'),
+    (("enumerate", "3", "1"), "text", 0, "a a b b c c\na a b c b c\na a b c c b\na b a c b c\na b c a b c\n"),
+    (("enumerate", "3", "1"), "json", 0, '{"codes": ["a a b b c c", "a a b c b c", "a a b c c b", "a b a c b c", "a b c a b c"], "command": "enumerate"}\n'),
+    (("random", "5", "1", "--seed", "7", "--moves", "3", "--max-vertices", "8"), "text", 0, "0 2 1 7 7 3 1 5 6 4 6 5 0 4 3 2\n"),
+    (("random", "5", "1", "--seed", "7", "--moves", "3", "--max-vertices", "8"), "json", 0, '{"code": "0 2 1 7 7 3 1 5 6 4 6 5 0 4 3 2", "command": "random"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, status, stdout", PINNED,
+                         ids=[f"{a[0]}-{i}-{f}" for i, (a, f, _, _) in enumerate(PINNED)])
+def test_pinned_output(capsys, argv, fmt, status, stdout):
+    assert run(capsys, *argv, "--format", fmt)[:2] == (status, stdout)
+
+
+# ---------------------------------------------------------------------------
 # error paths
 
 
@@ -157,6 +223,26 @@ def test_budget_exit_code(capsys):
     lines = "\n".join(f"v{i}: v{(i+1) % 9}" for i in range(9))
     status, _, err = run(capsys, "realizable", lines)
     assert status == 3
+
+
+def test_state_sum_budget_exit_code(capsys):
+    kinks = " ".join(f"{c} {c}" for c in "abcdefghijklmnopqrstu")
+    status, out, err = run(capsys, "abracket", kinks)
+    assert status == 3 and out == ""
+    assert err == "error: 21 even crossings; state sums stop at 20\n"
+
+
+@pytest.mark.parametrize("text", ["a ² a ²", "é x é x"])
+def test_non_ascii_label_is_parse_error(capsys, text):
+    status, out, err = run(capsys, "canon", text)
+    assert status == 1 and out == "" and err.startswith("error: malformed token")
+
+
+def test_undecodable_file_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "code.txt"
+    f.write_bytes(b"\xff a a")
+    status, out, err = run(capsys, "canon", "--file", str(f))
+    assert status == 1 and out == "" and err.startswith("error: ")
 
 
 def test_missing_input_is_usage_error(capsys):

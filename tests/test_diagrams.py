@@ -7,6 +7,7 @@ from freeknot.diagrams import (
     CodeError,
     FramedDiagram,
     GaussCode,
+    as_code,
     canonicalize,
     component_count,
     enumerate_codes,
@@ -78,6 +79,13 @@ def test_parse_rejects_empty_component():
         code("a a |")
 
 
+@pytest.mark.parametrize("text", ["a ² a ²", "é x é x"])
+def test_parse_rejects_non_ascii_labels(text):
+    # str.isalnum() accepts these; the grammar's labels are [A-Za-z0-9_]
+    with pytest.raises(CodeError, match="malformed token"):
+        code(text)
+
+
 # ---------------------------------------------------------------------------
 # framed graphs
 
@@ -96,6 +104,17 @@ def test_to_framed_empty():
     d = to_framed(code(""))
     assert d.vertex_count == 0 and d.free_loops == 0
     assert component_count(d) == 0
+
+
+def test_every_form_converts_through_as_code_and_to_framed():
+    c = code("O | a b c a b c")
+    d = to_framed(c)
+    can = canonicalize(c)
+    assert to_framed(d) is d
+    assert to_framed(can) == to_framed(can.code())
+    assert as_code(c) is c and as_code(can) == can.code()
+    for form in (c, d, can):
+        assert canonicalize(as_code(form)) == can
 
 
 def test_round_trip_three_chords():
