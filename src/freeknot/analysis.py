@@ -30,6 +30,7 @@ from .diagrams import (
     as_code,
     canonical_of,
     canonicalize,
+    code_lines,
     component_count,
     from_framed,
     parse_gauss_code,
@@ -369,7 +370,7 @@ def search_minimal_fixtures(limit: int | None = 1) -> list[tuple[GaussCode, Gaus
 def load_fixture(name: str) -> GaussCode:
     """Read a shipped fixture ('k1' or 'l1'): Gauss-code text, '#' comments."""
     text = resources.files("freeknot.fixtures").joinpath(f"{name}.gauss").read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = code_lines(text)
     if len(lines) != 1:
         raise CodeError(f"fixture {name!r} must contain exactly one code line")
     return parse_gauss_code(lines[0])

@@ -1,16 +1,19 @@
 """Command-line front end.
 
-One subcommand per library operation, batch-friendly: code input inline or
-via --file, output as text (default), JSON, or DOT where a graph is
-produced.  Exit status: 0 success, 1 usage or parse error, 2 precondition
-violation (e.g. wrong component count), 3 budget exhausted.  Stochastic
-subcommands require an explicit --seed; outputs are byte-identical for
-identical argv and seed.
+One subcommand per library operation, batch-friendly.  The subcommands from
+parse to bound take one Gauss code, inline or via --file (whole-line '#'
+comments skipped); realizable takes an adjacency list the same way; bfs
+takes two codes inline, and enumerate and random take sizes.  Output is
+text (default), JSON, or DOT where a graph is produced.  Exit status: 0
+success, 1 usage or parse error, 2 precondition violation (e.g. wrong
+component count), 3 budget exhausted.  Stochastic subcommands require an
+explicit --seed; outputs are byte-identical for identical argv and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, NamedTuple
@@ -22,6 +25,7 @@ from .diagrams import (
     GaussCode,
     PreconditionError,
     canonicalize,
+    code_lines,
     enumerate_codes,
     parse_gauss_code,
     render_gauss_code,
@@ -37,7 +41,7 @@ EXIT_BUDGET = 3
 def _read_input(args) -> str:
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return "\n".join(code_lines(fh.read()))
     if args.code is not None:
         return args.code
     raise CodeError("no input: pass CODE inline or --file PATH")
@@ -221,7 +225,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="freeknot", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():

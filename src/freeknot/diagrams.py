@@ -98,6 +98,11 @@ class GaussCode(_WordCounts):
         return seen
 
 
+def code_lines(text: str) -> list[str]:
+    """The lines of a code file that are neither blank nor ``#`` comments."""
+    return [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+
+
 def parse_gauss_code(text: str) -> GaussCode:
     """Parse the shared text grammar: components split on ``|``, labels are
     runs of ``[A-Za-z0-9_]`` split on whitespace, and a component consisting

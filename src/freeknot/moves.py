@@ -388,23 +388,42 @@ def find_all_moves(d: FramedDiagram, max_vertices: int) -> list[MoveInstance]:
     return find_r1(d) + find_r2(d) + find_r3(d) + find_increases(d, max_vertices)
 
 
+def _bigons(mate: dict, first_only: bool) -> list:
+    """Bigons as vertex pairs ``(u, v)`` joined by two edges at adjacent
+    slots of both, in scan order of ``mate``: one entry per end and edge
+    pair, so a bigon may repeat.  ``first_only`` stops at the first."""
+    out = []
+    for (u, s), h in mate.items():
+        g = mate[u, (s + 1) % 4]
+        if h[0] == g[0] != u and (h[1] - g[1]) % 2:
+            out.append((u, h[0]))
+            if first_only:
+                break
+    return out
+
+
 def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Random | None = None):
     """Apply decreasing R2 moves until none is possible.
 
     Returns ``(CanonicalCode, saw_free_loop)``; the flag records whether any
-    intermediate or final diagram carried a free loop.  The result is
+    intermediate or final diagram carried a free loop, which is whether the
+    result has one, as free loops never vanish under these moves.  Each
+    move deletes the two vertices of a bigon in place on one copy of the
+    matching, continuing both strands straight through.  The result is
     independent of the reduction order (tested, not assumed); the default
-    order is the first instance in sorted order."""
+    order takes the first bigon in scan order, ``_rng`` picks among all."""
     d = to_framed(code)
-    saw = d.free_loops > 0
-    while True:
-        insts = find_r2(d)
-        if not insts:
-            break
-        m = insts[0] if _rng is None else _rng.choice(insts)
-        d = apply_r2_decrease(d, m)
-        saw = saw or d.free_loops > 0
-    return canonical_of(d), saw
+    mate = dict(d.mate)
+    free = d.free_loops
+    while bigons := _bigons(mate, _rng is None):
+        for w in bigons[0] if _rng is None else _rng.choice(bigons):
+            for s in (0, 1):
+                a, b = mate.pop((w, s)), mate.pop((w, s + 2))
+                if a == (w, s + 2):
+                    free += 1
+                else:
+                    mate[a], mate[b] = b, a
+    return canonical_of(FramedDiagram(mate, free, validate=False)), free > 0
 
 
 def neighbors(d: FramedDiagram, allow_increase: int = 0) -> list[FramedDiagram]:

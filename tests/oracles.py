@@ -4,6 +4,8 @@ Everything here recomputes expected values by a different route than the
 package: canonical forms by full orbit enumeration, smoothings by cyclic
 word surgery, kink deletion by literal letter removal, and the triangle
 slide by swapping adjacent letter pairs.  Results are compared canonically.
+The state sums and R2 reduction are also recomputed the plain way, every
+state built by ``resolve`` and reduced one ``apply_r2_decrease`` at a time.
 Sums of link classes are compared up to all three moves by a move
 certificate: each term's closure under the non-increasing moves.
 """
@@ -13,8 +15,10 @@ from __future__ import annotations
 import functools
 import itertools
 
-from freeknot.diagrams import CanonicalCode, GaussCode, canonical_of, to_framed
-from freeknot.moves import apply_move, find_r1, find_r2, find_r3
+from freeknot.brackets import resolve, split_smoothing
+from freeknot.diagrams import CanonicalCode, GaussCode, canonical_of, component_count, to_framed
+from freeknot.moves import apply_move, apply_r2_decrease, find_r1, find_r2, find_r3
+from freeknot.parity import component_parity, gaussian_parity
 
 
 def brute_canonical(code: GaussCode) -> CanonicalCode:
@@ -180,3 +184,60 @@ def uncancelled_terms(terms) -> list[list[CanonicalCode]]:
             members += g[1]
         groups.append((classes, members))
     return [sorted(members) for _, members in groups if len(members) % 2]
+
+
+def naive_reduce_r2(code, rng=None) -> tuple[CanonicalCode, bool]:
+    """R2 reduction one whole-diagram move at a time: ``find_r2`` then
+    ``apply_r2_decrease``, the first instance in sorted order or one drawn
+    by ``rng``; the flag records any free loop along the way."""
+    d = to_framed(code)
+    saw = d.free_loops > 0
+    while insts := find_r2(d):
+        d = apply_r2_decrease(d, insts[0] if rng is None else rng.choice(insts))
+        saw = saw or d.free_loops > 0
+    return canonical_of(d), saw
+
+
+def naive_state_sum(d, even_vertices, keep) -> set:
+    """XOR of reduced states over every smoothing of ``even_vertices``, each
+    state built by ``resolve`` and kept when ``keep(state, reduced, saw)``."""
+    support: set = set()
+    for assignment in itertools.product("AB", repeat=len(even_vertices)):
+        state = resolve(d, dict(zip(even_vertices, assignment)))
+        reduced, saw = naive_reduce_r2(state)
+        if keep(state, reduced, saw):
+            support ^= {reduced}
+    return support
+
+
+def _evens(d, par) -> list:
+    return [v for v in d.vertices() if not par.is_odd(v)]
+
+
+def naive_alex_bracket(code) -> set:
+    """Support of ``alex_bracket``: every state built, one-component kept."""
+    d = to_framed(code)
+    return naive_state_sum(d, _evens(d, gaussian_parity(d)),
+                           lambda state, reduced, saw: component_count(state) == 1)
+
+
+def naive_kauffman_bracket(code) -> set:
+    """Support of ``kauffman_bracket``: every state built, free loops dropped."""
+    d = to_framed(code)
+    return naive_state_sum(d, _evens(d, component_parity(d)),
+                           lambda state, reduced, saw: not saw)
+
+
+def naive_kdelta(code) -> set:
+    """Support of ``kdelta``: the two-bracket over the split terms, each
+    split reduced by ``naive_reduce_r2``."""
+    d = to_framed(code)
+    terms: set = set()
+    for v in d.vertices():
+        reduced, saw = naive_reduce_r2(split_smoothing(d, v))
+        if not saw:
+            terms ^= {reduced}
+    total: set = set()
+    for t in terms:
+        total ^= naive_kauffman_bracket(t)
+    return total

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from freeknot import brackets
-from freeknot.analysis import random_diagram, random_moves
+from freeknot.analysis import load_fixture, random_diagram, random_moves
 from freeknot.brackets import (
     CTX_KNOT,
     CTX_LINK,
@@ -33,7 +33,7 @@ from freeknot.diagrams import (
 )
 from freeknot.moves import apply_r1_increase, reduce_r2
 from freeknot.parity import gaussian_parity
-from oracles import word_smooth
+from oracles import naive_alex_bracket, naive_kauffman_bracket, naive_kdelta, word_smooth
 
 
 def code(t):
@@ -294,6 +294,20 @@ def test_move_invariance_smoke():
 
 
 # ---------------------------------------------------------------------------
+# the pruned state sums against every state built
+
+
+def test_state_sums_match_the_every_state_oracle_exhaustive_small():
+    knots = [c for n in range(0, 7) for c in enumerate_codes(n, 1)] + [load_fixture("k1")]
+    for c in knots:
+        assert alex_bracket(c).terms == naive_alex_bracket(c), str(c)
+        assert kdelta(c).terms == naive_kdelta(c), str(c)
+    links = [c for n in range(0, 6) for c in enumerate_codes(n, 2)]
+    for c in links + [load_fixture("l1"), code("a a | O"), code("a b a b | O")]:
+        assert kauffman_bracket(c).terms == naive_kauffman_bracket(c), str(c)
+
+
+# ---------------------------------------------------------------------------
 # the state-sum budget
 
 
@@ -305,13 +319,13 @@ def kinks(labels):
 KINKS_21 = kinks("abcdefghijklmnopqrstu")
 
 
-def _no_states(d, choices):
+def _no_states(*args):
     raise AssertionError("a state was built")
 
 
 def test_state_sums_refuse_beyond_the_budget_before_any_state(monkeypatch):
     assert STATE_SUM_MAX_EVENS == 20
-    monkeypatch.setattr(brackets, "resolve", _no_states)
+    monkeypatch.setattr(brackets, "_smoothings", _no_states)
     with pytest.raises(BudgetError, match="^21 even crossings; state sums stop at 20$"):
         alex_bracket(code(KINKS_21))
     with pytest.raises(BudgetError, match="^21 even crossings"):
@@ -327,3 +341,30 @@ def test_state_sum_budget_is_inclusive(monkeypatch):
     assert terms_of(alex_bracket(code(kinks("ab")))) == ["O"]
     with pytest.raises(BudgetError, match="^3 even crossings; state sums stop at 2$"):
         alex_bracket(code(kinks("abc")))
+
+
+# ---------------------------------------------------------------------------
+# pruning: states ruled out by their free loops are never reduced
+
+
+def _count_reductions(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return reduce_r2(*args)
+
+    monkeypatch.setattr(brackets, "reduce_r2", counting)
+    return calls
+
+
+def test_alex_bracket_of_kinks_reduces_at_most_two_states(monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    assert terms_of(alex_bracket(code(kinks("abcdefghijkl")))) == ["O"]
+    assert len(calls) <= 2  # building every state would reduce all 4,096
+
+
+def test_kauffman_bracket_with_a_free_loop_reduces_no_state(monkeypatch):
+    calls = _count_reductions(monkeypatch)
+    assert kauffman_bracket(code(kinks("abcdefghijkl") + " | O")).terms == frozenset()
+    assert calls == []

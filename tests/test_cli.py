@@ -245,6 +245,24 @@ def test_undecodable_file_is_usage_error(tmp_path, capsys):
     assert status == 1 and out == "" and err.startswith("error: ")
 
 
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "freeknot" / "fixtures"
+
+
+@pytest.mark.parametrize("command", ["canon", "bound", "kbracket"])
+@pytest.mark.parametrize("name, line", [("k1", K1), ("l1", L1)])
+def test_file_input_skips_comment_lines(capsys, command, name, line):
+    path = FIXTURES / f"{name}.gauss"
+    assert path.read_text().startswith("#")
+    assert run(capsys, command, "--file", str(path)) == run(capsys, command, line)
+
+
+def test_reused_parser_carries_no_state_between_calls(capsys):
+    assert run(capsys, "canon", "a b a", "--format", "json")[0] == 1
+    assert run(capsys, "components", "a b | a b") == (0, "2\n", "")
+    assert run(capsys, "frobnicate")[0] == 1
+    assert run(capsys, "canon", "b a b a") == (0, "a b a b\n", "")
+
+
 def test_missing_input_is_usage_error(capsys):
     status, _, err = run(capsys, "canon")
     assert status == 1

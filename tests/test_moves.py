@@ -33,7 +33,7 @@ from freeknot.moves import (
     r3_rewiring,
     reduce_r2,
 )
-from oracles import find_word_triangles, kink_delete, swap_adjacent_pairs
+from oracles import find_word_triangles, kink_delete, naive_reduce_r2, swap_adjacent_pairs
 
 
 def code(t):
@@ -176,6 +176,16 @@ def test_reduce_output_is_irreducible_and_order_independent():
         assert find_r2(to_framed(base[0])) == []
         for _ in range(6):
             assert reduce_r2(c, random.Random(rng.randrange(2**32))) == base
+
+
+def test_reduce_matches_the_one_move_at_a_time_oracle_exhaustive_small():
+    checked = 0
+    for k in (1, 2, 3):
+        for n in range(0, 6):
+            for can in enumerate_codes(n, k):
+                assert reduce_r2(can) == naive_reduce_r2(can), str(can)
+                checked += 1
+    assert checked == 1109  # 105 + 349 + 655 classes with 1, 2, 3 components
 
 
 # ---------------------------------------------------------------------------
