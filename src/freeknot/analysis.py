@@ -34,7 +34,6 @@ from .diagrams import (
     component_count,
     from_framed,
     parse_gauss_code,
-    raw_arrangements,
     to_framed,
 )
 from .moves import find_all_moves, apply_move, find_r2
@@ -105,7 +104,7 @@ def intersection_graph(code) -> InterlacementGraph:
 
 def parse_adjacency(text: str) -> InterlacementGraph:
     """Adjacency-list grammar: one line per vertex, ``u: v w ...``;
-    lines may also be separated by ';'."""
+    lines may also be separated by ';'.  Vertex names hold no whitespace."""
     verts: list = []
     edges: set = set()
     seen: set = set()
@@ -119,6 +118,8 @@ def parse_adjacency(text: str) -> InterlacementGraph:
         u = head.strip()
         if not u:
             raise CodeError(f"adjacency line {line!r} lacks a vertex")
+        if len(u.split()) > 1:
+            raise CodeError(f"vertex name {u!r} contains whitespace")
         if u not in seen:
             seen.add(u)
             verts.append(u)
@@ -174,18 +175,52 @@ def graphs_isomorphic(g1: InterlacementGraph, g2: InterlacementGraph) -> bool:
 
 def realizable(g: InterlacementGraph) -> CanonicalCode | None:
     """Witness one-circle code whose interlacement graph is isomorphic to
-    ``g``, or None after an exhaustive scan of all double-occurrence words
-    with |V(g)| chords."""
+    ``g``, or None when none exists.
+
+    The double-occurrence word is written over ``g``'s own vertices (vertex
+    i is bit i), depth first and starting with vertex 0.  ``parity`` holds
+    the open letters.  An open letter ``v`` may close only when the letters
+    seen once since it opened, ``parity ^ opened_at[v]``, are exactly its
+    neighbours; a letter may open only while none of its neighbours has
+    closed.  Each pair of letters is decided when the first of the two
+    closes, so a finished word has interlacement graph exactly ``g``, and
+    no realizing word is cut.  Budget: ``REALIZABLE_MAX_VERTICES``."""
     n = len(g.vertices)
     if n > REALIZABLE_MAX_VERTICES:
-        raise BudgetError(f"realizability scan is bounded at {REALIZABLE_MAX_VERTICES} vertices")
+        raise BudgetError(f"realizability search is bounded at {REALIZABLE_MAX_VERTICES} vertices")
     if n == 0:
         return canonicalize(GaussCode((), 1)) if not g.edges else None
-    for words in raw_arrangements(n, 1):
-        code = GaussCode(words)
-        if graphs_isomorphic(interlacement(code), g):
-            return canonicalize(code)
-    return None
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbr = [0] * n
+    for e in g.edges:
+        a, b = (index[v] for v in e)
+        nbr[a] |= 1 << b
+        nbr[b] |= 1 << a
+    done = (1 << n) - 1
+    opened_at = [1] + [0] * (n - 1)  # parity just after each letter opened
+    word = [0]
+
+    def place(closed: int, parity: int) -> bool:
+        if closed == done:
+            return True
+        for v in range(n):
+            bit = 1 << v
+            if parity & bit:
+                if parity ^ opened_at[v] != nbr[v]:
+                    continue
+                now_closed = closed | bit
+            elif (nbr[v] | bit) & closed:
+                continue
+            else:
+                opened_at[v] = parity ^ bit
+                now_closed = closed
+            word.append(v)
+            if place(now_closed, parity ^ bit):
+                return True
+            word.pop()
+        return False
+
+    return canonicalize(GaussCode((tuple(word),))) if place(0, 1) else None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ that acquire a free loop; ``kdelta`` composes the last two linearly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .diagrams import (
     BudgetError,
@@ -51,10 +51,12 @@ class FormalSum:
 
     terms: frozenset
     context: str
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
-        for t in self.terms:
-            _check_member(t, self.context)
+    def __post_init__(self, validate: bool):
+        if validate:
+            for t in self.terms:
+                _check_member(t, self.context)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -62,7 +64,8 @@ class FormalSum:
     def __xor__(self, other: "FormalSum") -> "FormalSum":
         if self.context != other.context:
             raise PreconditionError("cannot add sums from different spaces")
-        return FormalSum(self.terms ^ other.terms, self.context)
+        # every term was checked, for this context, when its operand was built
+        return FormalSum(self.terms ^ other.terms, self.context, validate=False)
 
     def sorted_terms(self) -> list[CanonicalCode]:
         return sorted(self.terms)

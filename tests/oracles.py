@@ -8,6 +8,9 @@ The state sums and R2 reduction are also recomputed the plain way, every
 state built by ``resolve`` and reduced one ``apply_r2_decrease`` at a time.
 Sums of link classes are compared up to all three moves by a move
 certificate: each term's closure under the non-increasing moves.
+Realizability is looked up in a table of the enumerated one-circle classes,
+each class's graph read off its word by position alternation and matched
+by networkx's isomorphism test.
 """
 
 from __future__ import annotations
@@ -16,7 +19,14 @@ import functools
 import itertools
 
 from freeknot.brackets import resolve, split_smoothing
-from freeknot.diagrams import CanonicalCode, GaussCode, canonical_of, component_count, to_framed
+from freeknot.diagrams import (
+    CanonicalCode,
+    GaussCode,
+    canonical_of,
+    component_count,
+    enumerate_codes,
+    to_framed,
+)
 from freeknot.moves import apply_move, apply_r2_decrease, find_r1, find_r2, find_r3
 from freeknot.parity import component_parity, gaussian_parity
 
@@ -241,3 +251,41 @@ def naive_kdelta(code) -> set:
     for t in terms:
         total ^= naive_kauffman_bracket(t)
     return total
+
+
+def word_interlacement_edges(word: tuple) -> set:
+    """Pairs of letters whose occurrences alternate in a one-circle word."""
+    pos: dict = {}
+    for i, lab in enumerate(word):
+        pos.setdefault(lab, []).append(i)
+    return {(x, y) for x, y in itertools.combinations(sorted(pos), 2)
+            if pos[x][0] < pos[y][0] < pos[x][1] < pos[y][1]
+            or pos[y][0] < pos[x][0] < pos[y][1] < pos[x][1]}
+
+
+def _degrees(h) -> tuple:
+    return tuple(sorted(d for _, d in h.degree()))
+
+
+@functools.lru_cache(maxsize=None)
+def _class_graph_table(n: int) -> dict:
+    """Interlacement graphs of the one-circle classes with ``n`` chords, as
+    networkx graphs bucketed by degree sequence."""
+    import networkx as nx  # test-only dependency; only these oracles need it
+
+    table: dict = {}
+    for can in enumerate_codes(n, 1):
+        h = nx.Graph(word_interlacement_edges(can.words[0] if can.words else ()))
+        h.add_nodes_from(range(n))
+        table.setdefault(_degrees(h), []).append(h)
+    return table
+
+
+def class_table_realizable(h) -> bool:
+    """Whether the networkx graph ``h`` is the interlacement graph of a
+    one-circle diagram: some class of ``enumerate_codes(n, 1)`` has an
+    interlacement graph isomorphic to it."""
+    import networkx as nx
+
+    table = _class_graph_table(h.number_of_nodes())
+    return any(nx.is_isomorphic(h, c) for c in table.get(_degrees(h), ()))

@@ -316,7 +316,7 @@ def _wheel5() -> InterlacementGraph:
 
 
 def test_acceptance_09_realizability():
-    assert realizable(_wheel5()) is None  # certified by the exhaustive 10395-word scan
+    assert realizable(_wheel5()) is None  # certified by the exhaustive pruned chord-placement search
     checked = 0
     for n in range(0, 7):
         for can in enumerate_codes(n, 1):

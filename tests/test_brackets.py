@@ -105,6 +105,16 @@ def test_formal_sum_xor_is_symmetric_difference():
     assert (s1 ^ s1).terms == frozenset()
 
 
+def test_formal_sum_xor_does_not_recheck_terms(monkeypatch):
+    a, b = canon("a a"), canon("O")
+    s1 = formal_sum(CTX_KNOT, {a, b})
+    s2 = formal_sum(CTX_KNOT, {b})
+    calls = []
+    monkeypatch.setattr(brackets, "_check_member", lambda *args: calls.append(args))
+    assert (s1 ^ s2).terms == {a}
+    assert calls == []
+
+
 def test_formal_sum_rejects_wrong_context_members():
     with pytest.raises(CodeError):
         formal_sum(CTX_KNOT, {canon("a b | a b")})  # two components

@@ -115,6 +115,11 @@ def test_realizable_adjacency(capsys, tmp_path):
     assert status == 0 and payload == {"command": "realizable", "realizable": False, "witness": None}
 
 
+def test_realizable_rejects_vertex_name_with_spaces(capsys):
+    status, out, err = run(capsys, "realizable", "a b: c")
+    assert status == 1 and out == "" and "'a b'" in err
+
+
 def test_bfs_output_and_exit_codes(capsys):
     status, out, _ = run(capsys, "bfs", "a b a b", "O", "--max-vertices", "4", "--max-depth", "2")
     assert status == 0 and "reached: true" in out
