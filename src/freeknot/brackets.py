@@ -25,7 +25,9 @@ from .diagrams import (
     PAIRING_A,
     PAIRING_B,
     PreconditionError,
+    circles,
     component_count,
+    remove_vertex,
     splice_out,
     to_framed,
 )
@@ -104,12 +106,12 @@ def resolve(d: FramedDiagram, choices: dict) -> FramedDiagram:
     """Smooth several vertices simultaneously (vertex -> 'A'/'B'): delete
     each and repaste its half-edges per its choice; the rest of the diagram
     is untouched, and closing splices become free loops."""
+    repairings = {}
     for v, choice in choices.items():
         if choice not in SMOOTHING_PAIRINGS:
             raise CodeError(f"smoothing choice must be 'A' or 'B', got {choice!r}")
-        if (v, 0) not in d.mate:
-            raise CodeError(f"vertex {v!r} not in diagram")
-    return splice_out(d, {v: SMOOTHING_PAIRINGS[c] for v, c in choices.items()})
+        repairings[v] = SMOOTHING_PAIRINGS[choice]
+    return splice_out(d, repairings)
 
 
 def _framed(code, n: int, what: str) -> FramedDiagram:
@@ -172,43 +174,21 @@ def delta(code) -> FormalSum:
 
 def _smoothings(mate: list, evens: range, loops: int, max_loops: int):
     """Yield ``(mate, loops)`` for every smoothing of the vertices ``evens``
-    of an integer matching (half-edge ``4*v+s``, opposite slot ``h ^ 2``)
-    that ends with at most ``max_loops`` free loops.  Vertices are smoothed
-    depth first, each on a copy of its parent's matching; a branch is cut at
-    its first excess loop, as smoothing never touches a circle that has no
-    crossings on it, so free loops are permanent."""
+    of a matching that ends with at most ``max_loops`` free loops.  Vertices
+    are smoothed depth first, each on a copy of its parent's matching; a
+    branch is cut at its first excess loop, as smoothing never touches a
+    circle that has no crossings on it, so free loops are permanent."""
     stack = [(mate, 0, loops)] if loops <= max_loops else []
     while stack:
         m, depth, loops = stack.pop()
         if depth == len(evens):
             yield m, loops
             continue
-        v = 4 * evens[depth]
         for pairing in (PAIRING_A, PAIRING_B):
-            child, closed = m[:], loops
-            for s in (0, 2):
-                t = pairing[s]
-                a, b = child[v + s], child[v + t]
-                if a == v + t:
-                    closed += 1
-                else:
-                    child[a], child[b] = b, a
+            child = m[:]
+            closed = loops + remove_vertex(child, evens[depth], pairing)
             if closed <= max_loops:
                 stack.append((child, depth + 1, closed))
-
-
-def _circle_count(m: list, live: int) -> int:
-    """Circles through the first ``live`` vertices of an integer matching."""
-    seen = bytearray(4 * live)
-    count = 0
-    for start in range(4 * live):
-        if not seen[start]:
-            count += 1
-            h = start
-            while not seen[h]:
-                seen[h] = seen[h ^ 2] = 1
-                h = m[h ^ 2]
-    return count
 
 
 def _state_sum(d: FramedDiagram, even_vertices: list, knot: bool) -> set:
@@ -224,23 +204,23 @@ def _state_sum(d: FramedDiagram, even_vertices: list, knot: bool) -> set:
         raise BudgetError(f"{len(even_vertices)} even crossings; "
                           f"state sums stop at {STATE_SUM_MAX_EVENS}")
     # the vertices left unsmoothed come first, so a state is a prefix of the matching
-    labels = sorted(set(d.vertices()).difference(even_vertices), key=str) + list(even_vertices)
-    live = len(labels) - len(even_vertices)
-    index = {v: i for i, v in enumerate(labels)}
-    mate = [0] * len(d.mate)
-    for (v, s), (u, t) in d.mate.items():
-        mate[4 * index[v] + s] = 4 * index[u] + t
+    evens = set(even_vertices)
+    order = sorted(range(d.vertex_count), key=lambda i: d.labels[i] in evens)
+    base = {i: 4 * j for j, i in enumerate(order)}
+    mate = [base[g >> 2] | g & 3 for i in order for g in d.mate[4 * i:4 * i + 4]]
+    labels = tuple(d.labels[i] for i in order)
+    live = len(labels) - len(evens)
     # an unsmoothed crossing lies on a circle, and a knot state keeps one
     # component, so it may gain a free loop only when every crossing is smoothed
     max_loops = 1 if knot and not live else 0
     odd: set = set()
     for m, loops in _smoothings(mate, range(live, len(labels)), d.free_loops, max_loops):
-        if not knot or loops + _circle_count(m, live) == 1:
-            odd ^= {(tuple(m[:4 * live]), loops)}
+        state = tuple(m[:4 * live])
+        if not knot or loops + len(circles(state)) == 1:
+            odd ^= {(state, loops)}
     support: set = set()
     for m, loops in odd:
-        state = {(labels[i >> 2], i & 3): (labels[h >> 2], h & 3) for i, h in enumerate(m)}
-        reduced, saw = reduce_r2(FramedDiagram(state, loops, validate=False))
+        reduced, saw = reduce_r2(FramedDiagram(labels[:live], list(m), loops, validate=False))
         if knot or not saw:
             support ^= {reduced}
     return support

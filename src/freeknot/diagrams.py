@@ -1,19 +1,23 @@
 """Core diagram model for free knots and links.
 
-A diagram is stored in two interchangeable forms:
+A diagram comes in three forms, and ``as_code`` and ``to_framed`` take any
+of them:
 
 * ``GaussCode`` -- a multiset of cyclic words over chord labels, each label
   occurring exactly twice, plus a count of chord-free circle components
   ("free loops").
-* ``FramedDiagram`` -- the equivalent 4-valent framed graph: every vertex has
-  four half-edge slots 0..3 with the fixed opposition pairing (0,2), (1,3),
-  and the edges form a perfect matching on all slots.
+* ``CanonicalCode`` -- the relabeled code that minimises over component
+  order, rotations, reflections and relabelings (``canonicalize``); diagram
+  equality is equality of this form.
+* ``FramedDiagram`` -- the 4-valent framed graph.  Its matching *is* the
+  diagram: half-edge ``4*i + s`` is slot ``s`` of the ``i``-th vertex, the
+  opposition pairing (0,2), (1,3) makes ``h ^ 2`` the opposite of ``h``,
+  and a flat list pairs every half-edge with its mate.
 
-The traversal convention ties the two together: a closed curve always leaves
-a vertex through the slot opposite to the one it entered.  Diagram equality
-is canonical-form equality (``canonicalize``), which minimises over component
-order, rotations, reflections and relabelings.  ``as_code`` and ``to_framed``
-take any form, ``CanonicalCode`` too.  Nothing is oriented or has over/under data.
+The traversal convention ties the forms together: a closed curve always
+leaves a vertex through the slot opposite to the one it entered.  Splices,
+smoothings and R2 reduction all remove a vertex by one in-place step on the
+matching, ``remove_vertex``.  Nothing is oriented or has over/under data.
 """
 
 from __future__ import annotations
@@ -25,10 +29,6 @@ from typing import Hashable, Iterator
 
 FREE_LOOP_TOKEN = "O"
 
-#: half-edge = (vertex id, slot in 0..3)
-HalfEdge = tuple
-
-
 class CodeError(ValueError):
     """Raised for malformed Gauss-code text or invalid code structure."""
 
@@ -39,10 +39,6 @@ class PreconditionError(ValueError):
 
 class BudgetError(ValueError):
     """Raised when an input exceeds a hard brute-force size bound."""
-
-
-def opposite(slot: int) -> int:
-    return (slot + 2) % 4
 
 
 # ---------------------------------------------------------------------------
@@ -168,13 +164,19 @@ class CanonicalCode(_WordCounts):
 
 
 class FramedDiagram:
-    """4-valent framed graph: a perfect matching ``mate`` on half-edges
-    (vertex, slot), slot opposition fixed as (0,2),(1,3), plus a free-loop
-    count.  Instances are treated as immutable; operations build new ones."""
+    """4-valent framed graph as a flat perfect matching on half-edges.
 
-    __slots__ = ("mate", "free_loops")
+    ``labels`` holds the vertex ids in increasing order.  Half-edge
+    ``h = 4*i + s`` is slot ``s`` of vertex ``labels[i]``, its opposite slot
+    is ``h ^ 2``, and ``mate[h]`` is the half-edge joined to it; so the
+    integer order of half-edges is the order of their ``(vertex, slot)``
+    pairs.  ``free_loops`` counts the circles without crossings.  Instances
+    are treated as immutable; operations build new ones."""
 
-    def __init__(self, mate: dict, free_loops: int = 0, validate: bool = True):
+    __slots__ = ("labels", "mate", "free_loops")
+
+    def __init__(self, labels: tuple, mate: list, free_loops: int = 0, validate: bool = True):
+        self.labels = labels
         self.mate = mate
         self.free_loops = free_loops
         if validate:
@@ -183,36 +185,45 @@ class FramedDiagram:
     def _check(self):
         if self.free_loops < 0:
             raise CodeError("free_loops must be non-negative")
-        slots: dict = {}
-        for h, g in self.mate.items():
-            if self.mate.get(g) != h:
-                raise CodeError(f"mate is not an involution at {h!r}")
+        if not (isinstance(self.labels, tuple) and isinstance(self.mate, list)):
+            raise CodeError("labels must be a tuple and mate a list")
+        if any(a >= b for a, b in zip(self.labels, self.labels[1:])):
+            raise CodeError("vertex labels must be distinct and increasing")
+        n = len(self.mate)
+        if n != 4 * len(self.labels):
+            raise CodeError(f"{n} half-edges for {len(self.labels)} vertices; each vertex has slots 0..3")
+        for h, g in enumerate(self.mate):
+            if g not in range(n) or self.mate[g] != h:
+                raise CodeError(f"mate is not an involution at half-edge {h}")
             if h == g:
-                raise CodeError(f"half-edge {h!r} matched to itself")
-            slots.setdefault(h[0], set()).add(h[1])
-        for v, ss in slots.items():
-            if ss != {0, 1, 2, 3}:
-                raise CodeError(f"vertex {v!r} does not have exactly slots 0..3")
+                raise CodeError(f"half-edge {h} matched to itself")
 
     def vertices(self) -> list:
-        return sorted({h[0] for h in self.mate})
+        return list(self.labels)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.mate) // 4
+        return len(self.labels)
 
-    def edges(self) -> list[tuple[HalfEdge, HalfEdge]]:
-        """Edges as sorted (min, max) half-edge pairs, sorted."""
-        out = []
-        for h, g in self.mate.items():
-            if h < g:
-                out.append((h, g))
-        out.sort()
-        return out
+    def index(self, v) -> int:
+        """Position of vertex ``v`` in ``labels``."""
+        try:
+            return self.labels.index(v)
+        except ValueError:
+            raise CodeError(f"vertex {v!r} not in diagram") from None
+
+    def half_edge(self, h: int) -> tuple:
+        """Half-edge ``h`` as a ``(vertex, slot)`` pair."""
+        return self.labels[h >> 2], h & 3
+
+    def edges(self) -> list[tuple]:
+        """Edges as sorted (min, max) pairs of ``(vertex, slot)`` half-edges."""
+        return [(self.half_edge(h), self.half_edge(g)) for h, g in enumerate(self.mate) if h < g]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FramedDiagram)
+            and self.labels == other.labels
             and self.mate == other.mate
             and self.free_loops == other.free_loops
         )
@@ -228,56 +239,56 @@ def to_framed(code: GaussCode | CanonicalCode | FramedDiagram) -> FramedDiagram:
     if isinstance(code, FramedDiagram):
         return code
     code = as_code(code)
-    mate: dict = {}
-    occ_count: dict = {}
+    labels = tuple(sorted({lab for w in code.words for lab in w}))
+    entry = {v: 4 * i for i, v in enumerate(labels)}
+    mate = [0] * (4 * len(labels))
     for w in code.words:
         passes = []
         for lab in w:
-            k = occ_count.get(lab, 0)
-            occ_count[lab] = k + 1
-            entry, exit_ = (0, 2) if k == 0 else (1, 3)
-            passes.append(((lab, entry), (lab, exit_)))
-        for i, (_, exit_h) in enumerate(passes):
-            entry_h = passes[(i + 1) % len(passes)][0]
-            mate[exit_h] = entry_h
-            mate[entry_h] = exit_h
-    return FramedDiagram(mate, code.free_loops)
+            passes.append(entry[lab])
+            entry[lab] += 1
+        prev = passes[-1]
+        for h in passes:
+            mate[prev ^ 2], mate[h] = h, prev ^ 2
+            prev = h
+    return FramedDiagram(labels, mate, code.free_loops, validate=False)
 
 
-def unicursal_components(d: FramedDiagram) -> list[list[HalfEdge]]:
+def circles(mate) -> list[list[int]]:
+    """Closed traversals of an integer matching that leave every vertex
+    through the slot opposite to the one they entered: one list of entry
+    half-edges per circle, each starting at its least half-edge."""
+    seen = [False] * len(mate)
+    out = []
+    for start in range(len(mate)):
+        if not seen[start]:
+            seq = []
+            h = start
+            while not seen[h]:
+                seen[h] = seen[h ^ 2] = True
+                seq.append(h)
+                h = mate[h ^ 2]
+            out.append(seq)
+    return out
+
+
+def unicursal_components(d: FramedDiagram) -> list[list[tuple]]:
     """Closed traversals that exit every vertex through the opposite slot.
 
     Returns one passage list per non-free-loop component; a passage is the
-    entry half-edge (vertex, slot) of the traversal.  Free loops are held in
-    ``d.free_loops``; the total component count is
-    ``len(result) + d.free_loops``."""
-    visited: set = set()
-    comps: list[list[HalfEdge]] = []
-    for start in sorted(d.mate):
-        if start in visited:
-            continue
-        seq = []
-        h = start
-        while True:
-            v, s = h
-            visited.add(h)
-            exit_h = (v, opposite(s))
-            visited.add(exit_h)
-            seq.append(h)
-            h = d.mate[exit_h]
-            if h == start:
-                break
-        comps.append(seq)
-    return comps
+    entry half-edge (vertex, slot) of the traversal, and each list starts
+    at its least one.  Free loops are held in ``d.free_loops``; the total
+    component count is ``len(result) + d.free_loops``."""
+    return [[d.half_edge(h) for h in seq] for seq in circles(d.mate)]
 
 
 def component_count(d: FramedDiagram) -> int:
-    return len(unicursal_components(d)) + d.free_loops
+    return len(circles(d.mate)) + d.free_loops
 
 
 def from_framed(d: FramedDiagram) -> GaussCode:
     """Read the Gauss code back off a framed graph; labels are vertex ids."""
-    words = tuple(tuple(v for v, _ in seq) for seq in unicursal_components(d))
+    words = tuple(tuple(d.labels[h >> 2] for h in seq) for seq in circles(d.mate))
     return GaussCode(words, d.free_loops)
 
 
@@ -293,51 +304,45 @@ def as_code(code: GaussCode | CanonicalCode | FramedDiagram) -> GaussCode:
 # Slot re-pairings used when a vertex is removed.  The two smoothings join
 # non-opposite slots; the flat pairing joins opposite slots (used by R2
 # reduction, where each transit strand continues straight through).
-PAIRING_A = {0: 1, 1: 0, 2: 3, 3: 2}
-PAIRING_B = {0: 3, 3: 0, 1: 2, 2: 1}
-PAIRING_FLAT = {0: 2, 2: 0, 1: 3, 3: 1}
+PAIRING_A = ((0, 1), (2, 3))
+PAIRING_B = ((0, 3), (1, 2))
+PAIRING_FLAT = ((0, 2), (1, 3))
+
+
+def remove_vertex(mate: list, i: int, pairing: tuple) -> int:
+    """Delete vertex ``i`` from an integer matching in place, joining the
+    far ends of each slot pair in ``pairing``; returns the number of
+    circles this closes, which become free loops.  The slots of ``i`` are
+    left stale: no live half-edge is matched to them any more."""
+    closed = 0
+    for s, t in pairing:
+        a, b = mate[4 * i + s], mate[4 * i + t]
+        if a == 4 * i + t:
+            closed += 1
+        else:
+            mate[a], mate[b] = b, a
+    return closed
 
 
 def splice_out(d: FramedDiagram, repairings: dict) -> FramedDiagram:
-    """Remove the vertices in ``repairings`` (vertex -> slot involution) and
+    """Remove the vertices in ``repairings`` (vertex -> slot re-pairing) and
     reconnect edges along the induced strands.  Strand pieces that close up
     without touching a surviving vertex become free loops."""
-    if not repairings:
-        return FramedDiagram(dict(d.mate), d.free_loops, validate=False)
-    removed = set(repairings)
-    new_mate: dict = {}
-    visited: set = set()
-    for h in sorted(d.mate):
-        if h[0] in removed or h in new_mate:
-            continue
-        cur = d.mate[h]
-        while cur[0] in removed:
-            visited.add(cur)
-            hop = (cur[0], repairings[cur[0]][cur[1]])
-            visited.add(hop)
-            cur = d.mate[hop]
-        new_mate[h] = cur
-        new_mate[cur] = h
-    free = d.free_loops
-    for h0 in sorted(d.mate):
-        if h0[0] not in removed or h0 in visited:
-            continue
-        cur = h0
-        while True:
-            visited.add(cur)
-            hop = (cur[0], repairings[cur[0]][cur[1]])
-            visited.add(hop)
-            cur = d.mate[hop]
-            if cur == h0:
-                break
-        free += 1
-    return FramedDiagram(new_mate, free, validate=False)
+    labels, mate, free = list(d.labels), d.mate[:], d.free_loops
+    # from the last vertex down, so the vertices still to go keep their numbers
+    for i in sorted(map(d.index, repairings), reverse=True):
+        free += remove_vertex(mate, i, repairings[labels.pop(i)])
+        del mate[4 * i:4 * i + 4]
+        # the half-edges above vertex i move down four places
+        new = [*range(4 * i), -1, -1, -1, -1, *range(4 * i, len(mate))]
+        mate = list(map(new.__getitem__, mate))
+    return FramedDiagram(tuple(labels), mate, free, validate=False)
 
 
 def fresh_vertex_ids(d: FramedDiagram, count: int) -> list:
     """Deterministic new vertex ids that do not collide with existing ones.
     Integer diagrams get successive integers, others get w0, w1, ..."""
-    existing = set(h[0] for h in d.mate)
+    existing = set(d.labels)
     out: list = []
     if all(isinstance(v, int) for v in existing):
         nxt = max(existing, default=-1) + 1

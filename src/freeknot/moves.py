@@ -8,9 +8,11 @@ the perfect matching; strand pieces that close up vertex-free become free
 loops.
 
 Increase sites are strand pieces: an existing edge, or a free loop.  A free
-loop site is written ``("loop", i)`` with ``i`` in {0, 1} selecting distinct
+loop site is written ``("loop", i)`` with ``i`` in {0, 1}: it names the
+(i+1)-th free loop, which must exist, so two sites select distinct
 (interchangeable) loops; passing the same loop site twice to the R2 increase
-pushes a circle across itself.
+pushes a circle across itself.  Moves name vertices and ``(vertex, slot)``
+half-edges; they act on the integer matching of ``FramedDiagram``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .diagrams import (
     PAIRING_FLAT,
     canonical_of,
     fresh_vertex_ids,
-    opposite,
     splice_out,
     to_framed,
 )
@@ -77,15 +78,54 @@ def _slot_at(edge, v):
     raise CodeError(f"edge {edge!r} does not touch vertex {v!r}")
 
 
+def _labelled(d: FramedDiagram, e) -> tuple:
+    return tuple(d.half_edge(h) for h in e)
+
+
+def _edge(d: FramedDiagram, e) -> tuple[int, int]:
+    """The integer ends of the edge ``e`` of ``d``, in the order given."""
+    try:
+        (u, s), (v, t) = e
+        if s in range(4) and t in range(4):
+            h, g = 4 * d.index(u) + s, 4 * d.index(v) + t
+            if d.mate[h] == g:
+                return h, g
+    except (TypeError, ValueError):
+        pass
+    raise CodeError(f"edge {e!r} not in diagram")
+
+
+def _check_loop_site(d: FramedDiagram, site):
+    if d.free_loops <= site[1]:
+        raise CodeError(f"no free loop for site {site!r}")
+
+
+def _link(mate: list, pairs):
+    for a, b in pairs:
+        mate[a], mate[b] = b, a
+
+
+def _grown(d: FramedDiagram, count: int):
+    """``d`` with ``count`` fresh vertices merged into its labels, their
+    slots unmatched.  Returns the labels, the matching, the new number of
+    each old half-edge, and the first half-edge of each fresh vertex."""
+    fresh = fresh_vertex_ids(d, count)
+    labels = tuple(sorted(d.labels + tuple(fresh)))
+    base = {v: 4 * i for i, v in enumerate(labels)}
+    moved = [base[d.labels[h >> 2]] | h & 3 for h in range(len(d.mate))]
+    mate = [-1] * (4 * len(labels))
+    for h, g in enumerate(d.mate):
+        mate[moved[h]] = moved[g]
+    return labels, mate, moved, [base[v] for v in fresh]
+
+
 def _edges_between(d: FramedDiagram):
-    """Map unordered vertex pair -> sorted list of connecting edges."""
+    """Map vertex index pair ``(i, j)``, ``i < j``, to the sorted integer
+    edges ``(h, g)`` joining them, ``h`` at ``i``."""
     by_pair: dict = {}
-    for e in d.edges():
-        (u, _), (v, _) = e
-        if u == v:
-            continue
-        key = (u, v) if u < v else (v, u)
-        by_pair.setdefault(key, []).append(e)
+    for h, g in enumerate(d.mate):
+        if h >> 2 < g >> 2:
+            by_pair.setdefault((h >> 2, g >> 2), []).append((h, g))
     return by_pair
 
 
@@ -97,14 +137,10 @@ def find_r1(d: FramedDiagram) -> list[MoveInstance]:
     """One instance per vertex carrying a loop edge (an edge joining two of
     its own non-opposite slots)."""
     out = []
-    for v in d.vertices():
-        loops = []
-        for s in range(4):
-            g = d.mate[(v, s)]
-            if g[0] == v and g[1] != opposite(s):
-                loops.append(_edge_key((v, s), g))
+    for i, v in enumerate(d.labels):
+        loops = [h for h in range(4 * i, 4 * i + 4) if d.mate[h] >> 2 == i and d.mate[h] != h ^ 2]
         if loops:
-            out.append(MoveInstance(R1_DOWN, (v,), (min(loops),)))
+            out.append(MoveInstance(R1_DOWN, (v,), (_labelled(d, (loops[0], d.mate[loops[0]])),)))
     return out
 
 
@@ -113,13 +149,13 @@ def apply_r1_decrease(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     strand ends are spliced straight."""
     (v,) = m.vertices
     (loop,) = m.sites
-    if any(h not in d.mate or h[0] != v for h in loop) or d.mate[loop[0]] != loop[1]:
+    h, g = _edge(d, loop)
+    if h >> 2 != g >> 2 or d.labels[h >> 2] != v:
         raise CodeError(f"invalid R1 site {m!r}")
-    s, t = loop[0][1], loop[1][1]
-    if t == opposite(s):
+    if h ^ g == 2:
         raise CodeError("loop edge joins opposite slots; not an R1 site")
     # the smoothing that does NOT pair the loop slots together absorbs it
-    pairing = PAIRING_B if PAIRING_A[s] == t else PAIRING_A
+    pairing = PAIRING_B if h ^ g == 1 else PAIRING_A
     return splice_out(d, {v: pairing})
 
 
@@ -127,29 +163,19 @@ def apply_r1_increase(d: FramedDiagram, site, side: int = 0) -> FramedDiagram:
     """Put a kink on an edge, or on a free loop (site=("loop", 0))."""
     if side not in (0, 1):
         raise CodeError("side must be 0 or 1")
-    if site == LOOP_SITE or site == LOOP_SITE_2:
-        if d.free_loops < 1:
-            raise CodeError("no free loop to kink")
-        (u,) = fresh_vertex_ids(d, 1)
-        mate = dict(d.mate)
-        for a, b in (((u, 1), (u, 2)), ((u, 3), (u, 0))):
-            mate[a] = b
-            mate[b] = a
-        return FramedDiagram(mate, d.free_loops - 1, validate=False)
-    h0, h1 = site
-    if d.mate.get(h0) != h1:
-        raise CodeError(f"edge {site!r} not in diagram")
-    (u,) = fresh_vertex_ids(d, 1)
-    mate = dict(d.mate)
-    del mate[h0], mate[h1]
-    if side == 0:
-        new = [(h0, (u, 0)), ((u, 2), (u, 1)), ((u, 3), h1)]
+    loop = site in (LOOP_SITE, LOOP_SITE_2)
+    if loop:
+        _check_loop_site(d, site)
     else:
-        new = [(h0, (u, 0)), ((u, 2), (u, 3)), ((u, 1), h1)]
-    for a, b in new:
-        mate[a] = b
-        mate[b] = a
-    return FramedDiagram(mate, d.free_loops, validate=False)
+        ends = _edge(d, site)
+    labels, mate, moved, (u,) = _grown(d, 1)
+    if loop:
+        _link(mate, [(u + 1, u + 2), (u + 3, u)])
+    else:
+        h0, h1 = moved[ends[0]], moved[ends[1]]
+        _link(mate, [(h0, u), (u + 2, u + 1), (u + 3, h1)] if side == 0
+              else [(h0, u), (u + 2, u + 3), (u + 1, h1)])
+    return FramedDiagram(labels, mate, d.free_loops - loop, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +186,12 @@ def find_r2(d: FramedDiagram) -> list[MoveInstance]:
     """Bigons: unordered vertex pairs joined by two edges occupying
     non-opposite slots at both ends."""
     out = []
-    for (u, v), edges in sorted(_edges_between(d).items()):
-        for i in range(len(edges)):
-            for j in range(i + 1, len(edges)):
-                e1, e2 = edges[i], edges[j]
-                if _slot_at(e2, u) == opposite(_slot_at(e1, u)):
-                    continue
-                if _slot_at(e2, v) == opposite(_slot_at(e1, v)):
-                    continue
-                out.append(MoveInstance(R2_DOWN, (u, v), (e1, e2)))
+    for (i, j), edges in sorted(_edges_between(d).items()):
+        for k, (h1, g1) in enumerate(edges):
+            for h2, g2 in edges[k + 1:]:
+                if h1 ^ h2 != 2 and g1 ^ g2 != 2:
+                    out.append(MoveInstance(R2_DOWN, (d.labels[i], d.labels[j]),
+                                            (_labelled(d, (h1, g1)), _labelled(d, (h2, g2)))))
     return out
 
 
@@ -176,12 +199,11 @@ def apply_r2_decrease(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     """Remove the bigon; each transit strand is spliced straight through."""
     u, v = m.vertices
     e1, e2 = m.sites
-    for e in (e1, e2):
-        if d.mate.get(e[0]) != e[1]:
-            raise CodeError(f"edge {e!r} not in diagram")
-    if not ({e1[0][0], e1[1][0]} == {u, v} == {e2[0][0], e2[1][0]}):
+    if set(_edge(d, e1)) == set(_edge(d, e2)):
+        raise CodeError(f"one edge given as both R2 sites: {m!r}")
+    if u == v or not ({e1[0][0], e1[1][0]} == {u, v} == {e2[0][0], e2[1][0]}):
         raise CodeError(f"invalid R2 site {m!r}")
-    if _slot_at(e2, u) == opposite(_slot_at(e1, u)) or _slot_at(e2, v) == opposite(_slot_at(e1, v)):
+    if _slot_at(e2, u) == _slot_at(e1, u) ^ 2 or _slot_at(e2, v) == _slot_at(e1, v) ^ 2:
         raise CodeError("edge pair is opposite at an endpoint; not a bigon")
     return splice_out(d, {u: PAIRING_FLAT, v: PAIRING_FLAT})
 
@@ -203,59 +225,48 @@ def apply_r2_increase(d: FramedDiagram, site1, site2, pattern: str = PATTERN_PAR
     between the two relative overlays where they differ."""
     if pattern not in (PATTERN_PARALLEL, PATTERN_CROSSED):
         raise CodeError(f"unknown pattern {pattern!r}")
-    loop1 = site1 in (LOOP_SITE, LOOP_SITE_2)
-    loop2 = site2 in (LOOP_SITE, LOOP_SITE_2)
-    for site, is_loop in ((site1, loop1), (site2, loop2)):
-        if not is_loop and d.mate.get(site[0]) != site[1]:
-            raise CodeError(f"edge {site!r} not in diagram")
-    u, v = fresh_vertex_ids(d, 2)
-    mate = dict(d.mate)
+    ends = []
+    for site in (site1, site2):
+        if site in (LOOP_SITE, LOOP_SITE_2):
+            _check_loop_site(d, site)
+            ends.append(None)
+        else:
+            ends.append(_edge(d, site))
+    e1, e2 = ends
+    if e1 and e2 and e1 != e2 and set(e1) & set(e2):
+        raise CodeError("an edge site given twice must have its ends in the same order")
+    labels, mate, moved, (u, v) = _grown(d, 2)
+    parallel = pattern == PATTERN_PARALLEL
     free = d.free_loops
-
-    def add(pairs):
-        for a, b in pairs:
-            mate[a] = b
-            mate[b] = a
-
-    if loop1 and loop2:
-        if site1 == site2:
-            # one circle across itself: interlaced or nested double point pair
-            if free < 1:
-                raise CodeError("no free loop for self-push")
-            free -= 1
-            if pattern == PATTERN_PARALLEL:
-                add([((u, 2), (v, 0)), ((v, 2), (u, 1)), ((u, 3), (v, 1)), ((v, 3), (u, 0))])
-            else:
-                add([((u, 2), (v, 0)), ((v, 2), (v, 1)), ((v, 3), (u, 1)), ((u, 3), (u, 0))])
-        else:
-            if free < 2:
-                raise CodeError("two free loops required")
-            free -= 2
-            add([((u, 2), (v, 0)), ((v, 2), (u, 0)), ((u, 3), (v, 1)), ((v, 3), (u, 1))])
-    elif loop1 or loop2:
-        if free < 1:
-            raise CodeError("no free loop available")
+    if e1 is None and e2 is None and site1 == site2:
+        # one circle across itself: interlaced or nested double point pair
         free -= 1
-        h0, h1 = site2 if loop1 else site1
-        del mate[h0], mate[h1]
-        add([(h0, (u, 0)), ((u, 2), (v, 0)), ((v, 2), h1), ((u, 3), (v, 1)), ((v, 3), (u, 1))])
-    elif site1 == site2:
-        h0, h1 = site1
-        del mate[h0], mate[h1]
-        if pattern == PATTERN_PARALLEL:
-            add([(h0, (u, 0)), ((u, 2), (v, 0)), ((v, 2), (u, 1)), ((u, 3), (v, 1)), ((v, 3), h1)])
+        if parallel:
+            pairs = [(u + 2, v), (v + 2, u + 1), (u + 3, v + 1), (v + 3, u)]
         else:
-            add([(h0, (u, 0)), ((u, 2), (v, 0)), ((v, 2), (v, 1)), ((v, 3), (u, 1)), ((u, 3), h1)])
+            pairs = [(u + 2, v), (v + 2, v + 1), (v + 3, u + 1), (u + 3, u)]
+    elif e1 is None and e2 is None:
+        free -= 2
+        pairs = [(u + 2, v), (v + 2, u), (u + 3, v + 1), (v + 3, u + 1)]
+    elif e1 is None or e2 is None:
+        free -= 1
+        h0, h1 = (moved[h] for h in e1 or e2)
+        pairs = [(h0, u), (u + 2, v), (v + 2, h1), (u + 3, v + 1), (v + 3, u + 1)]
+    elif e1 == e2:
+        h0, h1 = (moved[h] for h in e1)
+        if parallel:
+            pairs = [(h0, u), (u + 2, v), (v + 2, u + 1), (u + 3, v + 1), (v + 3, h1)]
+        else:
+            pairs = [(h0, u), (u + 2, v), (v + 2, v + 1), (v + 3, u + 1), (u + 3, h1)]
     else:
-        h1a, h1b = site1
-        h2a, h2b = site2
-        del mate[h1a], mate[h1b], mate[h2a], mate[h2b]
-        add([(h1a, (u, 0)), ((u, 2), (v, 0)), ((v, 2), h1b)])
-        if pattern == PATTERN_PARALLEL:
-            add([(h2a, (u, 1)), ((u, 3), (v, 1)), ((v, 3), h2b)])
+        (h1a, h1b), (h2a, h2b) = ([moved[h] for h in e] for e in ends)
+        pairs = [(h1a, u), (u + 2, v), (v + 2, h1b)]
+        if parallel:
+            pairs += [(h2a, u + 1), (u + 3, v + 1), (v + 3, h2b)]
         else:
-            add([(h2a, (v, 1)), ((v, 3), (u, 1)), ((u, 3), h2b)])
-    return FramedDiagram(mate, free, validate=False)
+            pairs += [(h2a, v + 1), (v + 3, u + 1), (u + 3, h2b)]
+    _link(mate, pairs)
+    return FramedDiagram(labels, mate, free, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +277,22 @@ def find_r3(d: FramedDiagram) -> list[MoveInstance]:
     """Triangles: vertex triples pairwise joined by edges, the two triangle
     edges non-opposite at every corner.  Sites carry (e_uv, e_uw, e_vw)."""
     by_pair = _edges_between(d)
-    verts = d.vertices()
     out = []
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            uv = by_pair.get((verts[i], verts[j]))
-            if not uv:
+    for (i, j), uv in sorted(by_pair.items()):
+        for k in range(j + 1, d.vertex_count):
+            uw, vw = by_pair.get((i, k)), by_pair.get((j, k))
+            if not uw or not vw:
                 continue
-            for k in range(j + 1, len(verts)):
-                uw = by_pair.get((verts[i], verts[k]))
-                vw = by_pair.get((verts[j], verts[k]))
-                if not uw or not vw:
-                    continue
-                u, v, w = verts[i], verts[j], verts[k]
-                for e_uv in uv:
-                    for e_uw in uw:
-                        if _slot_at(e_uw, u) == opposite(_slot_at(e_uv, u)):
+            # an edge (h, g) of a pair has h at its lower vertex
+            for e_uv in uv:
+                for e_uw in uw:
+                    if e_uw[0] ^ e_uv[0] == 2:
+                        continue
+                    for e_vw in vw:
+                        if e_vw[0] ^ e_uv[1] == 2 or e_vw[1] ^ e_uw[1] == 2:
                             continue
-                        for e_vw in vw:
-                            if _slot_at(e_vw, v) == opposite(_slot_at(e_uv, v)):
-                                continue
-                            if _slot_at(e_vw, w) == opposite(_slot_at(e_uw, w)):
-                                continue
-                            out.append(MoveInstance(R3, (u, v, w), (e_uv, e_uw, e_vw)))
+                        out.append(MoveInstance(R3, (d.labels[i], d.labels[j], d.labels[k]),
+                                                tuple(_labelled(d, e) for e in (e_uv, e_uw, e_vw))))
     return out
 
 
@@ -303,17 +307,17 @@ def r3_rewiring(m: MoveInstance):
     b, b2 = _slot_at(e_uw, u), _slot_at(e_uw, w)
     c, c2 = _slot_at(e_vw, v), _slot_at(e_vw, w)
     reattach = {
-        (u, opposite(a)): (v, a2),
-        (v, opposite(a2)): (u, a),
-        (u, opposite(b)): (w, b2),
-        (w, opposite(b2)): (u, b),
-        (v, opposite(c)): (w, c2),
-        (w, opposite(c2)): (v, c),
+        (u, a ^ 2): (v, a2),
+        (v, a2 ^ 2): (u, a),
+        (u, b ^ 2): (w, b2),
+        (w, b2 ^ 2): (u, b),
+        (v, c ^ 2): (w, c2),
+        (w, c2 ^ 2): (v, c),
     }
     new_triangle = [
-        _edge_key((u, opposite(a)), (v, opposite(a2))),
-        _edge_key((u, opposite(b)), (w, opposite(b2))),
-        _edge_key((v, opposite(c)), (w, opposite(c2))),
+        _edge_key((u, a ^ 2), (v, a2 ^ 2)),
+        _edge_key((u, b ^ 2), (w, b2 ^ 2)),
+        _edge_key((v, c ^ 2), (w, c2 ^ 2)),
     ]
     return reattach, new_triangle
 
@@ -322,30 +326,24 @@ def apply_r3(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     """Slide a strand across the opposite crossing of the triangle.  The
     move is an involution on its site and changes no component or vertex
     counts."""
-    triangle = set(m.sites)
-    for e in triangle:
-        if d.mate.get(e[0]) != e[1]:
-            raise CodeError(f"edge {e!r} not in diagram")
+    triangle = {frozenset(_edge(d, e)) for e in m.sites}
     u, v, w = m.vertices
     e_uv, e_uw, e_vw = m.sites
     if (
-        _slot_at(e_uw, u) == opposite(_slot_at(e_uv, u))
-        or _slot_at(e_vw, v) == opposite(_slot_at(e_uv, v))
-        or _slot_at(e_vw, w) == opposite(_slot_at(e_uw, w))
+        _slot_at(e_uw, u) == _slot_at(e_uv, u) ^ 2
+        or _slot_at(e_vw, v) == _slot_at(e_uv, v) ^ 2
+        or _slot_at(e_vw, w) == _slot_at(e_uw, w) ^ 2
     ):
         raise CodeError(f"edges are opposite at a corner; not a triangle: {m!r}")
     reattach, new_triangle = r3_rewiring(m)
-    mate: dict = {}
-    for e in d.edges():
-        if e in triangle:
-            continue
-        x, y = (reattach.get(h, h) for h in e)
-        mate[x] = y
-        mate[y] = x
-    for x, y in new_triangle:
-        mate[x] = y
-        mate[y] = x
-    return FramedDiagram(mate, d.free_loops, validate=False)
+    at = {(x, s): 4 * d.index(x) + s for x in m.vertices for s in range(4)}
+    moved = {at[x]: at[y] for x, y in reattach.items()}
+    mate = d.mate[:]
+    for h, g in enumerate(d.mate):
+        if frozenset((h, g)) not in triangle:
+            mate[moved.get(h, h)] = moved.get(g, g)
+    _link(mate, [(at[x], at[y]) for x, y in new_triangle])
+    return FramedDiagram(d.labels, mate, d.free_loops, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +386,18 @@ def find_all_moves(d: FramedDiagram, max_vertices: int) -> list[MoveInstance]:
     return find_r1(d) + find_r2(d) + find_r3(d) + find_increases(d, max_vertices)
 
 
-def _bigons(mate: dict, first_only: bool) -> list:
-    """Bigons as vertex pairs ``(u, v)`` joined by two edges at adjacent
-    slots of both, in scan order of ``mate``: one entry per end and edge
-    pair, so a bigon may repeat.  ``first_only`` stops at the first."""
+def _bigons(mate: list, first_only: bool) -> list:
+    """Bigons of an integer matching as vertex pairs ``(i, j)`` joined by two
+    edges at adjacent slots of both, in scan order: one entry per end and
+    edge pair, so a bigon may repeat.  ``first_only`` stops at the first."""
     out = []
-    for (u, s), h in mate.items():
-        g = mate[u, (s + 1) % 4]
-        if h[0] == g[0] != u and (h[1] - g[1]) % 2:
-            out.append((u, h[0]))
-            if first_only:
-                break
+    for i in range(len(mate) // 4):
+        for s in range(4):
+            a, b = mate[4 * i + s], mate[4 * i + (s + 1) % 4]
+            if a >> 2 == b >> 2 != i and (a ^ b) & 1:
+                out.append((i, a >> 2))
+                if first_only:
+                    return out
     return out
 
 
@@ -408,22 +407,15 @@ def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Rand
     Returns ``(CanonicalCode, saw_free_loop)``; the flag records whether any
     intermediate or final diagram carried a free loop, which is whether the
     result has one, as free loops never vanish under these moves.  Each
-    move deletes the two vertices of a bigon in place on one copy of the
-    matching, continuing both strands straight through.  The result is
+    move splices out the two vertices of a bigon with the flat re-pairing,
+    continuing both strands straight through.  The result is
     independent of the reduction order (tested, not assumed); the default
     order takes the first bigon in scan order, ``_rng`` picks among all."""
     d = to_framed(code)
-    mate = dict(d.mate)
-    free = d.free_loops
-    while bigons := _bigons(mate, _rng is None):
-        for w in bigons[0] if _rng is None else _rng.choice(bigons):
-            for s in (0, 1):
-                a, b = mate.pop((w, s)), mate.pop((w, s + 2))
-                if a == (w, s + 2):
-                    free += 1
-                else:
-                    mate[a], mate[b] = b, a
-    return canonical_of(FramedDiagram(mate, free, validate=False)), free > 0
+    while bigons := _bigons(d.mate, _rng is None):
+        pair = bigons[0] if _rng is None else _rng.choice(bigons)
+        d = splice_out(d, {d.labels[i]: PAIRING_FLAT for i in pair})
+    return canonical_of(d), d.free_loops > 0
 
 
 def neighbors(d: FramedDiagram, allow_increase: int = 0) -> list[FramedDiagram]:

@@ -144,37 +144,23 @@ def source_sink_orientable(d: FramedDiagram) -> bool:
     opposite pair points in and the other points out.  Decided by parity
     propagation over the edge-direction variables; free loops are vacuously
     orientable."""
-    edge_of: dict = {}
-    head: dict = {}
-    for h, g in d.mate.items():
-        e = (h, g) if h < g else (g, h)
-        edge_of[h] = e
-        head[e] = e[0]
-
-    # "end at h points into its vertex" = x_edge XOR base(h)
-    def base(h) -> int:
-        return 0 if h == head[edge_of[h]] else 1
-
-    # constraints: x_e1 ^ x_e2 = rhs
-    adj: dict = {e: [] for e in head}
-    pending: list = []
-    for v in d.vertices():
-        ends = [(v, s) for s in range(4)]
-        for s in (0, 1):
-            h1, h2 = ends[s], ends[s + 2]
-            pending.append((edge_of[h1], edge_of[h2], base(h1) ^ base(h2)))
-        h1, h2 = ends[0], ends[1]
-        pending.append((edge_of[h1], edge_of[h2], base(h1) ^ base(h2) ^ 1))
-    for e1, e2, rhs in pending:
-        if e1 == e2:
-            if rhs != 0:
-                return False
-            continue
-        adj[e1].append((e2, rhs))
-        adj[e2].append((e1, rhs))
+    mate = d.mate
+    # edge e is named by its lesser half-edge; its end h points into its
+    # vertex iff x_e XOR (h is the greater end).  Constraints: x_e1 ^ x_e2 = rhs
+    adj: dict = {min(h, g): [] for h, g in enumerate(mate)}
+    for v in range(0, len(mate), 4):
+        for h1, h2, flip in ((v, v + 2, 0), (v + 1, v + 3, 0), (v, v + 1, 1)):
+            e1, e2 = min(h1, mate[h1]), min(h2, mate[h2])
+            rhs = (h1 > mate[h1]) ^ (h2 > mate[h2]) ^ flip
+            if e1 == e2:
+                if rhs != 0:
+                    return False
+                continue
+            adj[e1].append((e2, rhs))
+            adj[e2].append((e1, rhs))
 
     value: dict = {}
-    for start in sorted(adj):
+    for start in adj:
         if start in value:
             continue
         value[start] = 0

@@ -6,6 +6,8 @@ word surgery, kink deletion by literal letter removal, and the triangle
 slide by swapping adjacent letter pairs.  Results are compared canonically.
 The state sums and R2 reduction are also recomputed the plain way, every
 state built by ``resolve`` and reduced one ``apply_r2_decrease`` at a time.
+Splices and unicursal walks are redone on a dict from ``(vertex, slot)`` to
+``(vertex, slot)`` built from ``edges()``, apart from the integer matching.
 Sums of link classes are compared up to all three moves by a move
 certificate: each term's closure under the non-increasing moves.
 Realizability is looked up in a table of the enumerated one-circle classes,
@@ -194,6 +196,72 @@ def uncancelled_terms(terms) -> list[list[CanonicalCode]]:
             members += g[1]
         groups.append((classes, members))
     return [sorted(members) for _, members in groups if len(members) % 2]
+
+
+def _dict_mate(d) -> dict:
+    mate: dict = {}
+    for h, g in d.edges():
+        mate[h], mate[g] = g, h
+    return mate
+
+
+def naive_unicursal_components(d) -> list[list[tuple]]:
+    """Passage lists of the closed traversals, walked on a dict matching
+    from the least unvisited ``(vertex, slot)``."""
+    mate = _dict_mate(d)
+    visited: set = set()
+    comps = []
+    for start in sorted(mate):
+        if start in visited:
+            continue
+        seq = []
+        h = start
+        while True:
+            v, s = h
+            visited.add(h)
+            visited.add((v, (s + 2) % 4))
+            seq.append(h)
+            h = mate[v, (s + 2) % 4]
+            if h == start:
+                break
+        comps.append(seq)
+    return comps
+
+
+def naive_splice_out(d, repairings: dict) -> tuple[list, int]:
+    """``(edges, free_loops)`` of ``d`` with the vertices of ``repairings``
+    (vertex -> pairs of slots) removed, by following every strand through
+    the removed vertices on a dict matching."""
+    mate = _dict_mate(d)
+    hop = {v: {s: t for pair in pairing for s, t in (pair, pair[::-1])}
+           for v, pairing in repairings.items()}
+    new_mate: dict = {}
+    visited: set = set()
+    for h in sorted(mate):
+        if h[0] in hop or h in new_mate:
+            continue
+        cur = mate[h]
+        while cur[0] in hop:
+            visited.add(cur)
+            nxt = (cur[0], hop[cur[0]][cur[1]])
+            visited.add(nxt)
+            cur = mate[nxt]
+        new_mate[h] = cur
+        new_mate[cur] = h
+    free = d.free_loops
+    for h0 in sorted(mate):
+        if h0[0] not in hop or h0 in visited:
+            continue
+        cur = h0
+        while True:
+            visited.add(cur)
+            nxt = (cur[0], hop[cur[0]][cur[1]])
+            visited.add(nxt)
+            cur = mate[nxt]
+            if cur == h0:
+                break
+        free += 1
+    return sorted((h, g) for h, g in new_mate.items() if h < g), free
 
 
 def naive_reduce_r2(code, rng=None) -> tuple[CanonicalCode, bool]:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -116,6 +117,30 @@ def test_graphs_isomorphic_basics():
     star = graph([("a", "b"), ("a", "c"), ("a", "d")])
     assert graphs_isomorphic(p4, p4b)
     assert not graphs_isomorphic(p4, star)
+
+
+def test_graphs_isomorphic_agrees_with_networkx_on_the_atlas():
+    nx = pytest.importorskip("networkx")
+
+    def as_graph(h, names):
+        return graph([(names[a], names[b]) for a, b in h.edges], extra=[names[v] for v in h.nodes])
+
+    rng = random.Random(1253)
+    atlas = nx.graph_atlas_g()  # every graph with at most 7 vertices, up to isomorphism
+    assert len(atlas) == 1253
+    graphs = [as_graph(h, {v: v for v in h.nodes}) for h in atlas]
+    by_shape: dict = {}
+    for i, h in enumerate(atlas):
+        names = [f"v{j}" for j in h.nodes]
+        rng.shuffle(names)
+        assert graphs_isomorphic(graphs[i], as_graph(h, dict(zip(h.nodes, names)))), i
+        by_shape.setdefault((len(h), tuple(sorted(d for _, d in h.degree()))), []).append(i)
+    pairs = 0
+    for same in by_shape.values():
+        for i, j in itertools.combinations(same, 2):
+            assert graphs_isomorphic(graphs[i], graphs[j]) == nx.is_isomorphic(atlas[i], atlas[j]), (i, j)
+            pairs += 1
+    assert pairs == 3375
 
 
 def test_parse_adjacency():

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeknot.diagrams import (
+    PAIRING_A,
+    PAIRING_B,
+    PAIRING_FLAT,
     CodeError,
     FramedDiagram,
     GaussCode,
@@ -13,13 +16,15 @@ from freeknot.diagrams import (
     enumerate_codes,
     from_framed,
     parse_gauss_code,
+    raw_arrangements,
     render_gauss_code,
+    splice_out,
     to_framed,
     unicursal_components,
     _perfect_matchings,
     _matching_to_words,
 )
-from oracles import brute_canonical
+from oracles import brute_canonical, naive_splice_out, naive_unicursal_components
 
 
 def code(t):
@@ -125,7 +130,7 @@ def test_round_trip_three_chords():
 def test_unicursal_component_counts():
     assert component_count(to_framed(code("a b a b"))) == 1
     assert component_count(to_framed(code("a b | a b"))) == 2
-    assert component_count(FramedDiagram({}, 3)) == 3
+    assert component_count(to_framed(GaussCode((), 3))) == 3
 
 
 def test_unicursal_components_cover_every_edge_once():
@@ -138,7 +143,57 @@ def test_unicursal_components_cover_every_edge_once():
             assert (v, s) not in seen
             seen.add((v, s))
             seen.add((v, (s + 2) % 4))
-    assert seen == set(d.mate)
+    assert seen == {h for e in d.edges() for h in e}
+
+
+def test_framed_diagram_accepts_a_valid_matching():
+    # "a a": the exits 2 and 3 enter slots 1 and 0
+    assert FramedDiagram(("a",), [3, 2, 1, 0]) == to_framed(code("a a"))
+    assert FramedDiagram((), [], 2) == to_framed(code("O | O"))
+
+
+@pytest.mark.parametrize("labels, mate, loops, match", [
+    (("a",), [1, 2, 3, 0], 0, "not an involution"),
+    (("a",), [3, 2, 1, 7], 0, "not an involution"),
+    (("a",), [0, 2, 1, 3], 0, "matched to itself"),
+    (("a",), [1, 0], 0, "slots 0..3"),
+    (("a", "b"), [3, 2, 1, 0], 0, "slots 0..3"),
+    ((), [], -1, "non-negative"),
+    (("a",), (3, 2, 1, 0), 0, "a tuple and mate a list"),
+    (["a"], [3, 2, 1, 0], 0, "a tuple and mate a list"),
+    (("b", "a"), [3, 2, 1, 0, 7, 6, 5, 4], 0, "distinct and increasing"),
+    (("a", "a"), [3, 2, 1, 0, 7, 6, 5, 4], 0, "distinct and increasing"),
+])
+def test_framed_diagram_rejects_invalid_input(labels, mate, loops, match):
+    with pytest.raises(CodeError, match=match):
+        FramedDiagram(labels, mate, loops)
+
+
+def _small_framed_diagrams():
+    """The framed graph of every raw arrangement with 1-4 chords on 1-3 circles."""
+    for n in range(1, 5):
+        for k in range(1, 4):
+            for words in raw_arrangements(n, k):
+                yield to_framed(GaussCode(words))
+
+
+def test_splice_out_matches_the_dict_oracle_exhaustive_small():
+    checked = 0
+    for d in _small_framed_diagrams():
+        for v in d.vertices():
+            for pairing in (PAIRING_A, PAIRING_B, PAIRING_FLAT):
+                r = splice_out(d, {v: pairing})
+                assert (r.edges(), r.free_loops) == naive_splice_out(d, {v: pairing}), (from_framed(d), v)
+                checked += 1
+        vs = d.vertices()
+        r = splice_out(d, {vs[0]: PAIRING_FLAT, vs[-1]: PAIRING_A})
+        assert (r.edges(), r.free_loops) == naive_splice_out(d, {vs[0]: PAIRING_FLAT, vs[-1]: PAIRING_A})
+    assert checked == 38832  # 3 pairings on each vertex of 3,308 diagrams
+
+
+def test_unicursal_components_match_the_dict_oracle_exhaustive_small():
+    for d in _small_framed_diagrams():
+        assert unicursal_components(d) == naive_unicursal_components(d), from_framed(d)
 
 
 # ---------------------------------------------------------------------------

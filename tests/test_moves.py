@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from freeknot.analysis import random_diagram, random_moves
+from freeknot.analysis import load_fixture, random_diagram, random_moves
 from freeknot.diagrams import (
     CodeError,
-    FramedDiagram,
     GaussCode,
     canonical_of,
     canonicalize,
@@ -51,7 +50,7 @@ def framed(t):
 def test_find_r1_examples():
     assert [m.vertices for m in find_r1(framed("a a"))] == [("a",)]
     assert find_r1(framed("a b a b")) == []
-    assert find_r1(FramedDiagram({}, 0)) == []
+    assert find_r1(to_framed(GaussCode((), 0))) == []
 
 
 def test_r1_decrease_single_kink():
@@ -80,7 +79,7 @@ def test_r1_increase_then_decrease_is_identity():
 
 
 def test_r1_increase_on_free_loop():
-    d = FramedDiagram({}, 1)
+    d = to_framed(GaussCode((), 1))
     d2 = apply_r1_increase(d, LOOP_SITE)
     assert canonical_of(d2) == canonicalize(code("a a"))
     m = find_r1(d2)[0]
@@ -119,10 +118,10 @@ def test_r2_increase_then_decrease_is_identity():
 
 
 def test_r2_increase_loop_sites():
-    one = FramedDiagram({}, 1)
+    one = to_framed(GaussCode((), 1))
     assert canonical_of(apply_r2_increase(one, LOOP_SITE, LOOP_SITE, "parallel")) == canonicalize(code("a b a b"))
     assert canonical_of(apply_r2_increase(one, LOOP_SITE, LOOP_SITE, "crossed")) == canonicalize(code("a b b a"))
-    two = FramedDiagram({}, 2)
+    two = to_framed(GaussCode((), 2))
     assert canonical_of(apply_r2_increase(two, LOOP_SITE, LOOP_SITE_2, "parallel")) == canonicalize(code("a b | a b"))
     d = framed("c c")
     e = d.edges()[0]
@@ -131,13 +130,48 @@ def test_r2_increase_loop_sites():
 
 
 def test_r2_increase_edge_plus_loop_roundtrip():
-    d = FramedDiagram(dict(framed("c c").mate), 1)  # kinked circle plus a free loop
+    d = to_framed(code("c c | O"))  # kinked circle plus a free loop
     e = d.edges()[0]
     d2 = apply_r2_increase(d, e, LOOP_SITE)
     assert d2.vertex_count == 3 and d2.free_loops == 0
     new = set(d2.vertices()) - {"c"}
     bigons = [m for m in find_r2(d2) if set(m.vertices) == new]
     assert bigons and canonical_of(apply_r2_decrease(d2, bigons[0])) == canonical_of(d)
+
+
+def test_r2_decrease_rejects_one_edge_as_both_sites():
+    d = to_framed(load_fixture("k1"))  # minimal: no bigon
+    assert find_r2(d) == []
+    e = (("0", 2), ("1", 0))
+    assert e in d.edges()
+    for sites in ((e, e), (e, e[::-1])):
+        with pytest.raises(CodeError):
+            apply_r2_decrease(d, MoveInstance("r2-", ("0", "1"), sites))
+
+
+def test_r2_decrease_rejects_a_kink_as_bigon():
+    d = framed("a a")
+    with pytest.raises(CodeError):
+        apply_r2_decrease(d, MoveInstance("r2-", ("a", "a"), tuple(d.edges())))
+
+
+def test_loop_sites_must_name_existing_free_loops():
+    d = framed("a a | O")  # one free loop: LOOP_SITE names it, LOOP_SITE_2 names nothing
+    e = d.edges()[0]
+    assert apply_r1_increase(d, LOOP_SITE).free_loops == 0
+    assert apply_r2_increase(d, e, LOOP_SITE).free_loops == 0
+    with pytest.raises(CodeError):
+        apply_r1_increase(d, LOOP_SITE_2)
+    for sites in ((e, LOOP_SITE_2), (LOOP_SITE_2, e), (LOOP_SITE_2, LOOP_SITE_2), (LOOP_SITE, LOOP_SITE_2)):
+        with pytest.raises(CodeError):
+            apply_r2_increase(d, *sites)
+
+
+def test_r2_increase_rejects_one_edge_given_in_two_orders():
+    d = framed("a b a b")
+    e = d.edges()[0]
+    with pytest.raises(CodeError):
+        apply_r2_increase(d, e, e[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +333,7 @@ def test_inverse_pairs_on_enumeration():
 
 
 def test_neighbors_examples():
-    assert neighbors(FramedDiagram({}, 0), 0) == []
+    assert neighbors(to_framed(GaussCode((), 0)), 0) == []
     ns = {canonical_of(x) for x in neighbors(framed("a a"), 0)}
     assert canonicalize(GaussCode((), 1)) in ns
     d = framed("a b | a b")

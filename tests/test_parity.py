@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from freeknot.analysis import random_diagram, random_moves
 from freeknot.diagrams import (
-    FramedDiagram,
+    GaussCode,
     PreconditionError,
     canonicalize,
     enumerate_codes,
@@ -100,8 +100,8 @@ def test_component_parity_requires_two_components():
 def test_orientable_examples():
     assert source_sink_orientable(to_framed(code("a b b a"))) is True
     assert source_sink_orientable(to_framed(code("a b a b"))) is False
-    assert source_sink_orientable(FramedDiagram({}, 0)) is True
-    assert source_sink_orientable(FramedDiagram({}, 2)) is True
+    assert source_sink_orientable(to_framed(GaussCode((), 0))) is True
+    assert source_sink_orientable(to_framed(GaussCode((), 2))) is True
 
 
 def test_orientability_equals_all_even_small_sweep():
