@@ -326,9 +326,13 @@ def apply_r3(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     """Slide a strand across the opposite crossing of the triangle.  The
     move is an involution on its site and changes no component or vertex
     counts."""
-    triangle = {frozenset(_edge(d, e)) for e in m.sites}
     u, v, w = m.vertices
     e_uv, e_uw, e_vw = m.sites
+    triangle = {frozenset(_edge(d, e)) for e in m.sites}
+    if len({u, v, w}) < 3 or len(triangle) < 3 or any(
+        {x for x, _ in e} != pair for e, pair in zip(m.sites, ({u, v}, {u, w}, {v, w}))
+    ):
+        raise CodeError(f"invalid R3 site {m!r}")
     if (
         _slot_at(e_uw, u) == _slot_at(e_uv, u) ^ 2
         or _slot_at(e_vw, v) == _slot_at(e_uv, v) ^ 2

@@ -1,9 +1,10 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes expected values by a different route than the
-package: canonical forms by full orbit enumeration, smoothings by cyclic
-word surgery, kink deletion by literal letter removal, and the triangle
-slide by swapping adjacent letter pairs.  Results are compared canonically.
+package: canonical forms by full orbit enumeration and by relabelling every
+variant in full, smoothings by cyclic word surgery, kink deletion by literal
+letter removal, and the triangle slide by swapping adjacent letter pairs.
+Results are compared canonically.
 The state sums and R2 reduction are also recomputed the plain way, every
 state built by ``resolve`` and reduced one ``apply_r2_decrease`` at a time.
 Splices and unicursal walks are redone on a dict from ``(vertex, slot)`` to
@@ -24,6 +25,7 @@ from freeknot.brackets import resolve, split_smoothing
 from freeknot.diagrams import (
     CanonicalCode,
     GaussCode,
+    as_code,
     canonical_of,
     component_count,
     enumerate_codes,
@@ -61,6 +63,58 @@ def brute_canonical(code: GaussCode) -> CanonicalCode:
             if best is None or cand < best:
                 best = cand
     return CanonicalCode(best, code.free_loops)
+
+
+def naive_canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
+    """Minimum over component orders, rotations and reflections by
+    branch and bound: every variant of a component is relabelled in full,
+    and a branch is cut once its prefix exceeds the best so far."""
+    code = as_code(code)
+    k = len(code.words)
+    if k == 0:
+        return CanonicalCode((), code.free_loops)
+
+    variants: list[tuple] = []
+    for w in code.words:
+        vs = set()
+        for base in (w, w[::-1]):
+            for r in range(len(base)):
+                vs.add(base[r:] + base[:r])
+        variants.append(tuple(vs))
+
+    best: list | None = None
+
+    def rec(used: list, acc: list, mapping: dict, nxt: int):
+        nonlocal best
+        depth = len(acc)
+        if best is not None and acc > best[:depth]:
+            return
+        if depth == k:
+            if best is None or acc < best:
+                best = list(acc)
+            return
+        for i in range(k):
+            if used[i]:
+                continue
+            used[i] = True
+            for var in variants[i]:
+                m2 = dict(mapping)
+                n2 = nxt
+                rel = []
+                for lab in var:
+                    x = m2.get(lab)
+                    if x is None:
+                        m2[lab] = x = n2
+                        n2 += 1
+                    rel.append(x)
+                acc.append(tuple(rel))
+                rec(used, acc, m2, n2)
+                acc.pop()
+            used[i] = False
+
+    rec([False] * k, [], {}, 0)
+    assert best is not None
+    return CanonicalCode(tuple(best), code.free_loops)
 
 
 def _rotate_to(word: tuple, chord) -> tuple:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,7 +25,9 @@ from freeknot.diagrams import (
     _perfect_matchings,
     _matching_to_words,
 )
-from oracles import brute_canonical, naive_splice_out, naive_unicursal_components
+from freeknot.brackets import resolve
+from freeknot.moves import apply_r2_decrease, find_r2
+from oracles import brute_canonical, naive_canonicalize, naive_splice_out, naive_unicursal_components
 
 
 def code(t):
@@ -277,6 +280,65 @@ def test_round_trip_preserves_canonical_form(seed):
     assert component_count(to_framed(c)) == c.component_count
 
 
+def test_canonical_matches_brute_force_exhaustive_small():
+    checked = 0
+    for n in range(1, 5):
+        for k in range(1, 4):
+            for words in raw_arrangements(n, k):
+                for loops in (0, 1):
+                    c = GaussCode(words, loops)
+                    assert canonicalize(c) == brute_canonical(c), c
+                    checked += 1
+    assert checked == 6616  # 3,308 arrangements, with and without a free loop
+
+
+def test_canonical_matches_naive_on_scrambled_random_codes():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(6, 12)
+        c = _scramble(rng, _random_code(rng, n, rng.randint(1, 3)))
+        assert canonicalize(c) == naive_canonicalize(c), c
+
+
+@pytest.mark.parametrize("text", [
+    "a b c | a b c",
+    "a b | c d | a c b d",
+    "a b | a b",
+    "a b c d | a b c d",
+    "a b c | c b a",
+    "a b | b c | c a",
+    "a a | b b | c c",
+    "a b c d e f | a c e b d f",
+])
+def test_canonical_matches_naive_on_symmetric_words(text):
+    c = code(text)
+    assert canonicalize(c) == naive_canonicalize(c)
+
+
+def _found_family(evens: int) -> GaussCode:
+    """``e0 o0 e0 o1 e1 o2 e1 o3 ... | o0 o1 ...``: each even chord encloses
+    one odd crossing, so no smoothing closes a free loop, and the states
+    split into many symmetric components."""
+    word = []
+    for i in range(evens):
+        word += [f"e{i}", f"o{2 * i}", f"e{i}", f"o{2 * i + 1}"]
+    return GaussCode((tuple(word), tuple(f"o{i}" for i in range(2 * evens))))
+
+
+def test_canonical_matches_naive_on_reduced_states_of_the_symmetric_family():
+    d = to_framed(_found_family(8))
+    evens = [f"e{i}" for i in range(8)]
+    sizes = []
+    for choice in itertools.product("AB", repeat=len(evens)):
+        s = resolve(d, dict(zip(evens, choice)))
+        while insts := find_r2(s):
+            s = apply_r2_decrease(s, insts[0])
+        c = from_framed(s)
+        assert canonicalize(c) == naive_canonicalize(c), c
+        sizes.append(len(c.words))
+    assert len(sizes) == 256 and max(sizes) == 10
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -310,3 +372,13 @@ def test_enumerate_is_canonical_and_sorted():
     for c in codes:
         assert canonicalize(c) == c
         assert c.component_count == 2 and c.chord_count == 3
+
+
+@pytest.mark.parametrize("n, classes", enumerate([1, 1, 2, 5, 17, 79, 554]))
+def test_enumerate_one_circle_class_counts(n, classes):
+    # OEIS A007769: chord diagrams up to rotation and reflection
+    assert len(enumerate_codes(n, 1)) == classes
+
+
+def test_enumerate_five_chords_on_three_circles():
+    assert len(enumerate_codes(5, 3)) == 522

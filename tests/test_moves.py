@@ -278,7 +278,21 @@ def test_r3_is_an_involution_at_its_site():
         assert canonical_of(apply_r3(d2, m2)) == canonical_of(d)
 
 
+def test_r3_rejects_a_site_that_is_not_a_triangle():
+    d = framed("u v u w v w")
+    e = (("u", 0), ("w", 3))
+    uv, uw, vw = find_r3(d)[0].sites
+    for vertices, sites in [
+        (("u", "u", "w"), (e, e, e)),     # a repeated vertex and edge
+        (("u", "v", "w"), (uv, uv, vw)),  # a repeated edge
+        (("u", "v", "w"), (uw, uv, vw)),  # e_uv does not join u and v
+    ]:
+        with pytest.raises(CodeError, match="invalid R3 site"):
+            apply_r3(d, MoveInstance(R3, vertices, sites))
+
+
 def test_r3_component_count_conserved_on_random_diagrams():
+    # every instance find_r3 reports must apply: apply_r3 raises on a non-triangle
     rng = random.Random(3)
     seen = 0
     for _ in range(200):
