@@ -27,6 +27,7 @@ from .diagrams import (
     CodeError,
     GaussCode,
     PreconditionError,
+    _matching_to_words,
     as_code,
     canonical_of,
     canonicalize,
@@ -134,7 +135,11 @@ def parse_adjacency(text: str) -> InterlacementGraph:
 
 
 def graphs_isomorphic(g1: InterlacementGraph, g2: InterlacementGraph) -> bool:
-    """Brute-force isomorphism with degree pruning; fine at <= 8 vertices."""
+    """Brute-force isomorphism with degree pruning; fine at <= 8 vertices.
+
+    Nothing in the package calls it since ``realizable`` stopped comparing
+    graphs.  It stays because the benchmark's per-layer trace names it, and
+    a traced name that is gone breaks ``perfbench/run.py --trace 1``."""
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return False
     n1, n2 = g1.neighbor_sets(), g2.neighbor_sets()
@@ -316,25 +321,11 @@ def random_diagram(n: int, k: int, seed) -> GaussCode:
     if not 1 <= k <= 2 * n:
         raise PreconditionError(f"no {k}-component arrangement of {n} chords exists")
     cuts = sorted(rng.sample(range(1, 2 * n), k - 1))
-    lengths = []
-    prev = 0
-    for c in cuts + [2 * n]:
-        lengths.append(c - prev)
-        prev = c
+    lengths = tuple(b - a for a, b in zip([0] + cuts, cuts + [2 * n]))
     free = list(range(2 * n))
-    label_at = {}
-    nxt = 0
-    while free:
-        a = free.pop(0)
-        b = free.pop(rng.randrange(len(free)))
-        label_at[a] = label_at[b] = nxt
-        nxt += 1
-    words = []
-    start = 0
-    for ln in lengths:
-        words.append(tuple(label_at[p] for p in range(start, start + ln)))
-        start += ln
-    return GaussCode(tuple(words))
+    # pair the first free position with a uniform other one
+    matching = [(free.pop(0), free.pop(rng.randrange(len(free)))) for _ in range(n)]
+    return GaussCode(_matching_to_words(matching, lengths))
 
 
 def random_moves(code, count: int, max_vertices: int, seed) -> GaussCode:
@@ -366,7 +357,9 @@ def search_minimal_fixtures(limit: int | None = 1) -> list[tuple[GaussCode, Gaus
 
     Returns (knot diagram, its split) pairs; the prefilter keeps only
     permutations whose same-order pair counts are odd per chord (evenness)
-    and below seven (unique hub)."""
+    and below seven (unique hub).  It is kept in the library as the
+    reproducible source of the shipped ``k1``/``l1`` fixtures: the
+    acceptance tests rerun it, and ``scripts/find_fixtures.py`` wraps it."""
     out: list[tuple[GaussCode, GaussCode]] = []
     for pi in itertools.permutations(range(1, 9)):
         pos = {v: i for i, v in enumerate(pi)}

@@ -28,6 +28,7 @@ from .diagrams import (
     circles,
     component_count,
     remove_vertex,
+    renumber,
     splice_out,
     to_framed,
 )
@@ -206,8 +207,7 @@ def _state_sum(d: FramedDiagram, even_vertices: list, knot: bool) -> set:
     # the vertices left unsmoothed come first, so a state is a prefix of the matching
     evens = set(even_vertices)
     order = sorted(range(d.vertex_count), key=lambda i: d.labels[i] in evens)
-    base = {i: 4 * j for j, i in enumerate(order)}
-    mate = [base[g >> 2] | g & 3 for i in order for g in d.mate[4 * i:4 * i + 4]]
+    mate = renumber(d.mate, order)
     labels = tuple(d.labels[i] for i in order)
     live = len(labels) - len(evens)
     # an unsmoothed crossing lies on a circle, and a knot state keeps one

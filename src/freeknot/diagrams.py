@@ -329,6 +329,15 @@ def remove_vertex(mate: list, i: int, pairing: tuple) -> int:
     return closed
 
 
+def renumber(mate: list, order) -> list:
+    """The matching with vertex ``order[j]`` renumbered ``j``; ``order``
+    lists every vertex once."""
+    base = [0] * (len(mate) >> 2)
+    for j, i in enumerate(order):
+        base[i] = 4 * j
+    return [base[g >> 2] | g & 3 for i in order for g in mate[4 * i:4 * i + 4]]
+
+
 def splice_out(d: FramedDiagram, repairings: dict) -> FramedDiagram:
     """Remove the vertices in ``repairings`` (vertex -> slot re-pairing) and
     reconnect edges along the induced strands.  Strand pieces that close up
@@ -347,20 +356,17 @@ def splice_out(d: FramedDiagram, repairings: dict) -> FramedDiagram:
 def fresh_vertex_ids(d: FramedDiagram, count: int) -> list:
     """Deterministic new vertex ids that do not collide with existing ones.
     Integer diagrams get successive integers, others get w0, w1, ..."""
+    if all(isinstance(v, int) for v in d.labels):
+        nxt = d.labels[-1] + 1 if d.labels else 0
+        return list(range(nxt, nxt + count))
     existing = set(d.labels)
     out: list = []
-    if all(isinstance(v, int) for v in existing):
-        nxt = max(existing, default=-1) + 1
-        while len(out) < count:
-            out.append(nxt)
-            nxt += 1
-    else:
-        i = 0
-        while len(out) < count:
-            cand = f"w{i}"
-            i += 1
-            if cand not in existing:
-                out.append(cand)
+    i = 0
+    while len(out) < count:
+        cand = f"w{i}"
+        i += 1
+        if cand not in existing:
+            out.append(cand)
     return out
 
 

@@ -12,7 +12,11 @@ loop site is written ``("loop", i)`` with ``i`` in {0, 1}: it names the
 (i+1)-th free loop, which must exist, so two sites select distinct
 (interchangeable) loops; passing the same loop site twice to the R2 increase
 pushes a circle across itself.  Moves name vertices and ``(vertex, slot)``
-half-edges; they act on the integer matching of ``FramedDiagram``.
+half-edges; they act on the integer matching of ``FramedDiagram``.  Each
+site is read once into an integer edge, oriented from its named vertex, and
+a move is checked and rewired on ``mate`` alone.  The increases append their
+fresh vertices, link them to the site half-edges as read, and then renumber
+the vertices into label order.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .diagrams import (
     PAIRING_FLAT,
     canonical_of,
     fresh_vertex_ids,
+    renumber,
     splice_out,
     to_framed,
 )
@@ -66,38 +71,44 @@ class MoveInstance:
     selector: object = None
 
 
-def _edge_key(h1, h2):
-    return (h1, h2) if h1 < h2 else (h2, h1)
-
-
-def _slot_at(edge, v):
-    """Slot the edge occupies at vertex v (smaller slot if it is a loop)."""
-    for h in edge:
-        if h[0] == v:
-            return h[1]
-    raise CodeError(f"edge {edge!r} does not touch vertex {v!r}")
-
-
 def _labelled(d: FramedDiagram, e) -> tuple:
     return tuple(d.half_edge(h) for h in e)
 
 
-def _edge(d: FramedDiagram, e) -> tuple[int, int]:
-    """The integer ends of the edge ``e`` of ``d``, in the order given."""
+def _edge(d: FramedDiagram, e, ends=None, kind: str = "") -> tuple[int, int]:
+    """The integer ends of the edge ``e`` of ``d``: in the order given, or
+    from vertex ``ends[0]`` to vertex ``ends[1]``, which it must join, as a
+    site of a ``kind`` move."""
     try:
         (u, s), (v, t) = e
-        if s in range(4) and t in range(4):
-            h, g = 4 * d.index(u) + s, 4 * d.index(v) + t
-            if d.mate[h] == g:
-                return h, g
+        h, g = 4 * d.index(u) + s, 4 * d.index(v) + t
+        found = s in range(4) and t in range(4) and d.mate[h] == g
     except (TypeError, ValueError):
-        pass
-    raise CodeError(f"edge {e!r} not in diagram")
+        found = False
+    if not found:
+        raise CodeError(f"edge {e!r} not in diagram")
+    if ends is None or (u, v) == ends:
+        return h, g
+    if (v, u) == ends:
+        return g, h
+    raise CodeError(f"invalid {kind} site: edge {e!r} does not join {ends[0]!r} and {ends[1]!r}")
 
 
-def _check_loop_site(d: FramedDiagram, site):
+def _parts(m: MoveInstance, vertex_count: int, site_count: int) -> tuple:
+    """The vertices and the sites of ``m``, which must be as many as given."""
+    if len(m.vertices) != vertex_count or len(m.sites) != site_count:
+        raise CodeError(f"a {m.kind} move takes {vertex_count} vertices and {site_count} sites: {m!r}")
+    return m.vertices, m.sites
+
+
+def _site(d: FramedDiagram, site):
+    """The integer edge of an increase site, or ``None`` for a free-loop
+    site, whose loop must exist."""
+    if site not in (LOOP_SITE, LOOP_SITE_2):
+        return _edge(d, site)
     if d.free_loops <= site[1]:
         raise CodeError(f"no free loop for site {site!r}")
+    return None
 
 
 def _link(mate: list, pairs):
@@ -106,17 +117,21 @@ def _link(mate: list, pairs):
 
 
 def _grown(d: FramedDiagram, count: int):
-    """``d`` with ``count`` fresh vertices merged into its labels, their
-    slots unmatched.  Returns the labels, the matching, the new number of
-    each old half-edge, and the first half-edge of each fresh vertex."""
-    fresh = fresh_vertex_ids(d, count)
-    labels = tuple(sorted(d.labels + tuple(fresh)))
-    base = {v: 4 * i for i, v in enumerate(labels)}
-    moved = [base[d.labels[h >> 2]] | h & 3 for h in range(len(d.mate))]
-    mate = [-1] * (4 * len(labels))
-    for h, g in enumerate(d.mate):
-        mate[moved[h]] = moved[g]
-    return labels, mate, moved, [base[v] for v in fresh]
+    """The labels and matching of ``d`` with ``count`` fresh vertices
+    appended, their slots unmatched, and the first half-edge of each fresh
+    vertex.  Old half-edges keep their numbers."""
+    n = len(d.mate)
+    return (d.labels + tuple(fresh_vertex_ids(d, count)), d.mate + [-1] * (4 * count),
+            range(n, n + 4 * count, 4))
+
+
+def _in_label_order(labels: tuple, mate: list, free_loops: int) -> FramedDiagram:
+    """The grown diagram with its vertices renumbered by increasing label."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    # fresh integer ids follow the old ones, so integer diagrams skip this
+    if order != list(range(len(labels))):
+        labels, mate = tuple(labels[i] for i in order), renumber(mate, order)
+    return FramedDiagram(labels, mate, free_loops, validate=False)
 
 
 def _edges_between(d: FramedDiagram):
@@ -147,11 +162,8 @@ def find_r1(d: FramedDiagram) -> list[MoveInstance]:
 def apply_r1_decrease(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     """Erase the kink: the loop edge is absorbed and the two remaining
     strand ends are spliced straight."""
-    (v,) = m.vertices
-    (loop,) = m.sites
-    h, g = _edge(d, loop)
-    if h >> 2 != g >> 2 or d.labels[h >> 2] != v:
-        raise CodeError(f"invalid R1 site {m!r}")
+    (v,), (loop,) = _parts(m, 1, 1)
+    h, g = _edge(d, loop, (v, v), "R1")
     if h ^ g == 2:
         raise CodeError("loop edge joins opposite slots; not an R1 site")
     # the smoothing that does NOT pair the loop slots together absorbs it
@@ -163,19 +175,15 @@ def apply_r1_increase(d: FramedDiagram, site, side: int = 0) -> FramedDiagram:
     """Put a kink on an edge, or on a free loop (site=("loop", 0))."""
     if side not in (0, 1):
         raise CodeError("side must be 0 or 1")
-    loop = site in (LOOP_SITE, LOOP_SITE_2)
-    if loop:
-        _check_loop_site(d, site)
-    else:
-        ends = _edge(d, site)
-    labels, mate, moved, (u,) = _grown(d, 1)
-    if loop:
+    e = _site(d, site)
+    labels, mate, (u,) = _grown(d, 1)
+    if e is None:
         _link(mate, [(u + 1, u + 2), (u + 3, u)])
     else:
-        h0, h1 = moved[ends[0]], moved[ends[1]]
+        h0, h1 = e
         _link(mate, [(h0, u), (u + 2, u + 1), (u + 3, h1)] if side == 0
               else [(h0, u), (u + 2, u + 3), (u + 1, h1)])
-    return FramedDiagram(labels, mate, d.free_loops - loop, validate=False)
+    return _in_label_order(labels, mate, d.free_loops - (e is None))
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +205,19 @@ def find_r2(d: FramedDiagram) -> list[MoveInstance]:
 
 def apply_r2_decrease(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     """Remove the bigon; each transit strand is spliced straight through."""
-    u, v = m.vertices
-    e1, e2 = m.sites
-    if set(_edge(d, e1)) == set(_edge(d, e2)):
-        raise CodeError(f"one edge given as both R2 sites: {m!r}")
-    if u == v or not ({e1[0][0], e1[1][0]} == {u, v} == {e2[0][0], e2[1][0]}):
+    (u, v), sites = _parts(m, 2, 2)
+    (h1, g1), (h2, g2) = (_edge(d, e, (u, v), "R2") for e in sites)
+    if h1 >> 2 == g1 >> 2:
         raise CodeError(f"invalid R2 site {m!r}")
-    if _slot_at(e2, u) == _slot_at(e1, u) ^ 2 or _slot_at(e2, v) == _slot_at(e1, v) ^ 2:
+    if h1 == h2:
+        raise CodeError(f"one edge given as both R2 sites: {m!r}")
+    if h1 ^ h2 == 2 or g1 ^ g2 == 2:
         raise CodeError("edge pair is opposite at an endpoint; not a bigon")
     return splice_out(d, {u: PAIRING_FLAT, v: PAIRING_FLAT})
 
 
 def _strand_sites(d: FramedDiagram) -> list:
-    sites: list = list(d.edges())
-    if d.free_loops >= 1:
-        sites.append(LOOP_SITE)
-    if d.free_loops >= 2:
-        sites.append(LOOP_SITE_2)
-    return sites
+    return d.edges() + [LOOP_SITE, LOOP_SITE_2][:d.free_loops]
 
 
 def apply_r2_increase(d: FramedDiagram, site1, site2, pattern: str = PATTERN_PARALLEL) -> FramedDiagram:
@@ -225,17 +228,10 @@ def apply_r2_increase(d: FramedDiagram, site1, site2, pattern: str = PATTERN_PAR
     between the two relative overlays where they differ."""
     if pattern not in (PATTERN_PARALLEL, PATTERN_CROSSED):
         raise CodeError(f"unknown pattern {pattern!r}")
-    ends = []
-    for site in (site1, site2):
-        if site in (LOOP_SITE, LOOP_SITE_2):
-            _check_loop_site(d, site)
-            ends.append(None)
-        else:
-            ends.append(_edge(d, site))
-    e1, e2 = ends
+    e1, e2 = _site(d, site1), _site(d, site2)
     if e1 and e2 and e1 != e2 and set(e1) & set(e2):
         raise CodeError("an edge site given twice must have its ends in the same order")
-    labels, mate, moved, (u, v) = _grown(d, 2)
+    labels, mate, (u, v) = _grown(d, 2)
     parallel = pattern == PATTERN_PARALLEL
     free = d.free_loops
     if e1 is None and e2 is None and site1 == site2:
@@ -250,23 +246,23 @@ def apply_r2_increase(d: FramedDiagram, site1, site2, pattern: str = PATTERN_PAR
         pairs = [(u + 2, v), (v + 2, u), (u + 3, v + 1), (v + 3, u + 1)]
     elif e1 is None or e2 is None:
         free -= 1
-        h0, h1 = (moved[h] for h in e1 or e2)
+        h0, h1 = e1 or e2
         pairs = [(h0, u), (u + 2, v), (v + 2, h1), (u + 3, v + 1), (v + 3, u + 1)]
     elif e1 == e2:
-        h0, h1 = (moved[h] for h in e1)
+        h0, h1 = e1
         if parallel:
             pairs = [(h0, u), (u + 2, v), (v + 2, u + 1), (u + 3, v + 1), (v + 3, h1)]
         else:
             pairs = [(h0, u), (u + 2, v), (v + 2, v + 1), (v + 3, u + 1), (u + 3, h1)]
     else:
-        (h1a, h1b), (h2a, h2b) = ([moved[h] for h in e] for e in ends)
+        (h1a, h1b), (h2a, h2b) = e1, e2
         pairs = [(h1a, u), (u + 2, v), (v + 2, h1b)]
         if parallel:
             pairs += [(h2a, u + 1), (u + 3, v + 1), (v + 3, h2b)]
         else:
             pairs += [(h2a, v + 1), (v + 3, u + 1), (u + 3, h2b)]
     _link(mate, pairs)
-    return FramedDiagram(labels, mate, free, validate=False)
+    return _in_label_order(labels, mate, free)
 
 
 # ---------------------------------------------------------------------------
@@ -296,57 +292,26 @@ def find_r3(d: FramedDiagram) -> list[MoveInstance]:
     return out
 
 
-def r3_rewiring(m: MoveInstance):
-    """The half-edge surgery of the slide: returns (reattach map, new
-    triangle edges).  Each external end hops along its triangle edge to the
-    far vertex, landing on the slot the triangle edge vacates; the new
-    triangle connects the slots the external ends vacate."""
-    u, v, w = m.vertices
-    e_uv, e_uw, e_vw = m.sites
-    a, a2 = _slot_at(e_uv, u), _slot_at(e_uv, v)
-    b, b2 = _slot_at(e_uw, u), _slot_at(e_uw, w)
-    c, c2 = _slot_at(e_vw, v), _slot_at(e_vw, w)
-    reattach = {
-        (u, a ^ 2): (v, a2),
-        (v, a2 ^ 2): (u, a),
-        (u, b ^ 2): (w, b2),
-        (w, b2 ^ 2): (u, b),
-        (v, c ^ 2): (w, c2),
-        (w, c2 ^ 2): (v, c),
-    }
-    new_triangle = [
-        _edge_key((u, a ^ 2), (v, a2 ^ 2)),
-        _edge_key((u, b ^ 2), (w, b2 ^ 2)),
-        _edge_key((v, c ^ 2), (w, c2 ^ 2)),
-    ]
-    return reattach, new_triangle
-
-
 def apply_r3(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     """Slide a strand across the opposite crossing of the triangle.  The
     move is an involution on its site and changes no component or vertex
     counts."""
-    u, v, w = m.vertices
-    e_uv, e_uw, e_vw = m.sites
-    triangle = {frozenset(_edge(d, e)) for e in m.sites}
-    if len({u, v, w}) < 3 or len(triangle) < 3 or any(
-        {x for x, _ in e} != pair for e, pair in zip(m.sites, ({u, v}, {u, w}, {v, w}))
-    ):
+    (u, v, w), sites = _parts(m, 3, 3)
+    ends = [_edge(d, e, pair, "R3") for e, pair in zip(sites, ((u, v), (u, w), (v, w)))]
+    (a, a2), (b, b2), (c, c2) = ends
+    if len({a >> 2, a2 >> 2, b2 >> 2}) < 3:
         raise CodeError(f"invalid R3 site {m!r}")
-    if (
-        _slot_at(e_uw, u) == _slot_at(e_uv, u) ^ 2
-        or _slot_at(e_vw, v) == _slot_at(e_uv, v) ^ 2
-        or _slot_at(e_vw, w) == _slot_at(e_uw, w) ^ 2
-    ):
+    if b == a ^ 2 or c == a2 ^ 2 or c2 == b2 ^ 2:
         raise CodeError(f"edges are opposite at a corner; not a triangle: {m!r}")
-    reattach, new_triangle = r3_rewiring(m)
-    at = {(x, s): 4 * d.index(x) + s for x in m.vertices for s in range(4)}
-    moved = {at[x]: at[y] for x, y in reattach.items()}
+    # each external end hops along its triangle edge, onto the slot that edge vacates
+    hop = {h ^ 2: g for h, g in ends + [(g, h) for h, g in ends]}
     mate = d.mate[:]
-    for h, g in enumerate(d.mate):
-        if frozenset((h, g)) not in triangle:
-            mate[moved.get(h, h)] = moved.get(g, g)
-    _link(mate, [(at[x], at[y]) for x, y in new_triangle])
+    for h, g in hop.items():
+        x = d.mate[h]
+        mate[g] = y = hop.get(x, x)
+        mate[y] = g
+    # the slots the external ends vacate form the new triangle
+    _link(mate, [(a ^ 2, a2 ^ 2), (b ^ 2, b2 ^ 2), (c ^ 2, c2 ^ 2)])
     return FramedDiagram(d.labels, mate, d.free_loops, validate=False)
 
 
@@ -358,11 +323,13 @@ def apply_move(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     if m.kind == R1_DOWN:
         return apply_r1_decrease(d, m)
     if m.kind == R1_UP:
-        return apply_r1_increase(d, m.sites[0], m.selector)
+        _, (site,) = _parts(m, 0, 1)
+        return apply_r1_increase(d, site, m.selector)
     if m.kind == R2_DOWN:
         return apply_r2_decrease(d, m)
     if m.kind == R2_UP:
-        return apply_r2_increase(d, m.sites[0], m.sites[1], m.selector)
+        _, sites = _parts(m, 0, 2)
+        return apply_r2_increase(d, *sites, m.selector)
     if m.kind == R3:
         return apply_r3(d, m)
     raise CodeError(f"unknown move kind {m.kind!r}")
@@ -425,7 +392,9 @@ def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Rand
 def neighbors(d: FramedDiagram, allow_increase: int = 0) -> list[FramedDiagram]:
     """Every result of a single move, increases admitted while the vertex
     count stays within ``current + allow_increase``; deduplicated by
-    canonical code and sorted by it."""
+    canonical code and sorted by it.  The search walks classes on its own
+    loop; this one-step neighbourhood is kept as public API, and the
+    acceptance tests check it."""
     results: dict[CanonicalCode, FramedDiagram] = {}
     for m in find_all_moves(d, d.vertex_count + allow_increase):
         if m.kind == R1_UP and m.selector == 1:

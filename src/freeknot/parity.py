@@ -209,7 +209,9 @@ def check_parity_axioms(d: FramedDiagram, m: _moves.MoveInstance, rule: str) -> 
 
     R1 crossings are even and spectators keep their parity; R2 pairs are
     equal-parity with spectators preserved; R3 preserves each corner's
-    parity, spectators, and has an even number of odd corners."""
+    parity, spectators, and has an even number of odd corners.  Public, so
+    that a parity rule can be checked at any move; the acceptance tests run
+    it on every move of the small classes."""
     before = _parity_map(d, rule)
     after_d = _moves.apply_move(d, m)
     after = _parity_map(after_d, rule)

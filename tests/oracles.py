@@ -7,6 +7,8 @@ letter removal, and the triangle slide by swapping adjacent letter pairs.
 Results are compared canonically.
 The state sums and R2 reduction are also recomputed the plain way, every
 state built by ``resolve`` and reduced one ``apply_r2_decrease`` at a time.
+The second-move decrease and the triangle slide are also checked and applied
+on ``(vertex, slot)`` pairs, with edges looked up in ``edges()``.
 Splices and unicursal walks are redone on a dict from ``(vertex, slot)`` to
 ``(vertex, slot)`` built from ``edges()``, apart from the integer matching.
 Sums of link classes are compared up to all three moves by a move
@@ -23,15 +25,19 @@ import itertools
 
 from freeknot.brackets import resolve, split_smoothing
 from freeknot.diagrams import (
+    PAIRING_FLAT,
     CanonicalCode,
+    CodeError,
+    FramedDiagram,
     GaussCode,
     as_code,
     canonical_of,
     component_count,
     enumerate_codes,
+    splice_out,
     to_framed,
 )
-from freeknot.moves import apply_move, apply_r2_decrease, find_r1, find_r2, find_r3
+from freeknot.moves import MoveInstance, apply_move, apply_r2_decrease, find_r1, find_r2, find_r3
 from freeknot.parity import component_parity, gaussian_parity
 
 
@@ -205,6 +211,98 @@ def swap_adjacent_pairs(word: tuple, picks) -> tuple:
         j = (i + 1) % n
         w[i], w[j] = w[j], w[i]
     return tuple(w)
+
+
+def _labelled_edge(d, e) -> frozenset:
+    """The edge ``e`` of ``d``, given either way round, as the set of its two
+    ``(vertex, slot)`` ends; ``CodeError`` unless ``edges()`` lists it."""
+    try:
+        (u, s), (v, t) = e
+        edges = d.edges()
+        if ((u, s), (v, t)) in edges or ((v, t), (u, s)) in edges:
+            return frozenset(((u, s), (v, t)))
+    except (TypeError, ValueError):
+        pass
+    raise CodeError(f"edge {e!r} not in diagram")
+
+
+def _slot_at(edge, v):
+    """Slot the edge occupies at vertex v (smaller slot if it is a loop)."""
+    for h in edge:
+        if h[0] == v:
+            return h[1]
+    raise CodeError(f"edge {edge!r} does not touch vertex {v!r}")
+
+
+def _edge_key(h1, h2):
+    return (h1, h2) if h1 < h2 else (h2, h1)
+
+
+def naive_apply_r2_decrease(d, m: MoveInstance):
+    """The second-move decrease checked on ``(vertex, slot)`` pairs."""
+    u, v = m.vertices
+    e1, e2 = m.sites
+    if _labelled_edge(d, e1) == _labelled_edge(d, e2):
+        raise CodeError(f"one edge given as both R2 sites: {m!r}")
+    if u == v or not ({e1[0][0], e1[1][0]} == {u, v} == {e2[0][0], e2[1][0]}):
+        raise CodeError(f"invalid R2 site {m!r}")
+    if _slot_at(e2, u) == _slot_at(e1, u) ^ 2 or _slot_at(e2, v) == _slot_at(e1, v) ^ 2:
+        raise CodeError("edge pair is opposite at an endpoint; not a bigon")
+    return splice_out(d, {u: PAIRING_FLAT, v: PAIRING_FLAT})
+
+
+def r3_rewiring(m: MoveInstance):
+    """The half-edge surgery of the slide: returns (reattach map, new
+    triangle edges).  Each external end hops along its triangle edge to the
+    far vertex, landing on the slot the triangle edge vacates; the new
+    triangle connects the slots the external ends vacate."""
+    u, v, w = m.vertices
+    e_uv, e_uw, e_vw = m.sites
+    a, a2 = _slot_at(e_uv, u), _slot_at(e_uv, v)
+    b, b2 = _slot_at(e_uw, u), _slot_at(e_uw, w)
+    c, c2 = _slot_at(e_vw, v), _slot_at(e_vw, w)
+    reattach = {
+        (u, a ^ 2): (v, a2),
+        (v, a2 ^ 2): (u, a),
+        (u, b ^ 2): (w, b2),
+        (w, b2 ^ 2): (u, b),
+        (v, c ^ 2): (w, c2),
+        (w, c2 ^ 2): (v, c),
+    }
+    new_triangle = [
+        _edge_key((u, a ^ 2), (v, a2 ^ 2)),
+        _edge_key((u, b ^ 2), (w, b2 ^ 2)),
+        _edge_key((v, c ^ 2), (w, c2 ^ 2)),
+    ]
+    return reattach, new_triangle
+
+
+def naive_apply_r3(d, m: MoveInstance):
+    """The triangle slide checked and rewired on ``(vertex, slot)`` pairs by
+    ``r3_rewiring``."""
+    u, v, w = m.vertices
+    e_uv, e_uw, e_vw = m.sites
+    triangle = {_labelled_edge(d, e) for e in m.sites}
+    if len({u, v, w}) < 3 or len(triangle) < 3 or any(
+        {x for x, _ in e} != pair for e, pair in zip(m.sites, ({u, v}, {u, w}, {v, w}))
+    ):
+        raise CodeError(f"invalid R3 site {m!r}")
+    if (
+        _slot_at(e_uw, u) == _slot_at(e_uv, u) ^ 2
+        or _slot_at(e_vw, v) == _slot_at(e_uv, v) ^ 2
+        or _slot_at(e_vw, w) == _slot_at(e_uw, w) ^ 2
+    ):
+        raise CodeError(f"edges are opposite at a corner; not a triangle: {m!r}")
+    reattach, new_triangle = r3_rewiring(m)
+    at = {(x, s): 4 * d.index(x) + s for x in m.vertices for s in range(4)}
+    moved = {at[x]: at[y] for x, y in reattach.items()}
+    mate = d.mate[:]
+    for h, g in enumerate(d.mate):
+        if frozenset((d.half_edge(h), d.half_edge(g))) not in triangle:
+            mate[moved.get(h, h)] = moved.get(g, g)
+    for x, y in new_triangle:
+        mate[at[x]], mate[at[y]] = at[y], at[x]
+    return FramedDiagram(d.labels, mate, d.free_loops, validate=False)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,11 +6,13 @@ import pytest
 from freeknot.analysis import load_fixture, random_diagram, random_moves
 from freeknot.diagrams import (
     CodeError,
+    FramedDiagram,
     GaussCode,
     canonical_of,
     canonicalize,
     component_count,
     enumerate_codes,
+    from_framed,
     parse_gauss_code,
     to_framed,
 )
@@ -25,14 +28,22 @@ from freeknot.moves import (
     apply_r2_increase,
     apply_r3,
     find_all_moves,
+    find_increases,
     find_r1,
     find_r2,
     find_r3,
     neighbors,
-    r3_rewiring,
     reduce_r2,
 )
-from oracles import find_word_triangles, kink_delete, naive_reduce_r2, swap_adjacent_pairs
+from oracles import (
+    find_word_triangles,
+    kink_delete,
+    naive_apply_r2_decrease,
+    naive_apply_r3,
+    naive_reduce_r2,
+    r3_rewiring,
+    swap_adjacent_pairs,
+)
 
 
 def code(t):
@@ -174,6 +185,45 @@ def test_r2_increase_rejects_one_edge_given_in_two_orders():
         apply_r2_increase(d, e, e[::-1])
 
 
+def _letter_copy(c: GaussCode, letters) -> GaussCode:
+    """``c`` with label ``i`` renamed ``letters[i]``."""
+    return GaussCode(tuple(tuple(letters[x] for x in w) for w in c.words), c.free_loops)
+
+
+def _check_increases_against_integer_copy(d):
+    """Every R1+/R2+ on ``d`` gives a valid diagram, and the same class as the
+    same move on the copy of ``d`` whose vertices are labelled 0, 1, ...
+    Returns how many results had a fresh vertex sort before an old one."""
+    number = {v: i for i, v in enumerate(d.labels)}
+    ints = FramedDiagram(tuple(range(d.vertex_count)), d.mate, d.free_loops)
+    reordered = 0
+    for m in find_increases(d, d.vertex_count + 2):
+        r = apply_move(d, m)
+        FramedDiagram(r.labels, r.mate, r.free_loops)  # checks the matching
+        sites = tuple(s if s in (LOOP_SITE, LOOP_SITE_2) else tuple((number[v], t) for v, t in s)
+                      for s in m.sites)
+        assert canonical_of(r) == canonical_of(apply_move(ints, MoveInstance(m.kind, (), sites, m.selector))), m
+        reordered += r.labels[-1] in number
+    return reordered
+
+
+@pytest.mark.parametrize("text", ["a z a w z w", "x w0 y x y w0"])
+def test_increases_renumber_fresh_ids_that_sort_between_old_labels(text):
+    assert _check_increases_against_integer_copy(framed(text)) > 0
+
+
+def test_increases_on_every_small_class_relabelled_to_letters():
+    # the fresh ids w0, w1 sort between the letters w and x
+    letters = ("a", "w", "x", "z")
+    classes = reordered = 0
+    for n in range(0, 5):
+        for k in (1, 2, 3):
+            for can in enumerate_codes(n, k):
+                reordered += _check_increases_against_integer_copy(to_framed(_letter_copy(can.code(), letters)))
+                classes += 1
+    assert classes > 100 and reordered > 1000
+
+
 # ---------------------------------------------------------------------------
 # reduce_r2
 
@@ -289,6 +339,75 @@ def test_r3_rejects_a_site_that_is_not_a_triangle():
     ]:
         with pytest.raises(CodeError, match="invalid R3 site"):
             apply_r3(d, MoveInstance(R3, vertices, sites))
+
+
+@pytest.mark.parametrize("kind, vertices, site_count", [
+    pytest.param("r1+", (), 0, id="r1+ with no site"),
+    pytest.param("r2+", (), 1, id="r2+ with one site"),
+    pytest.param("r1-", (), 1, id="r1- with no vertex"),
+    pytest.param("r2-", ("u",), 2, id="r2- with one vertex"),
+    pytest.param("r3", ("u", "v", "w"), 1, id="r3 with one site"),
+    pytest.param("r3", ("u", "v"), 3, id="r3 with two vertices"),
+])
+def test_an_instance_of_the_wrong_shape_is_a_code_error(kind, vertices, site_count):
+    d = framed("u v u w v w")
+    e = d.edges()[0]
+    with pytest.raises(CodeError):
+        apply_move(d, MoveInstance(kind, vertices, (e,) * site_count))
+
+
+def _near_instances(d, m, rng):
+    """``m`` and instances near it: vertices and sites permuted, one site
+    reversed, repeated or replaced by a random edge."""
+    for vertices in itertools.permutations(m.vertices):
+        for sites in itertools.permutations(m.sites):
+            yield MoveInstance(m.kind, vertices, sites)
+    edges = d.edges()
+    for k, site in enumerate(m.sites):
+        others = [e[::-1] for e in m.sites] + [rng.choice(edges) for _ in range(3)]
+        for e in [site[::-1]] + others[:k] + others[k + 1:]:
+            yield MoveInstance(m.kind, m.vertices, m.sites[:k] + (e,) + m.sites[k + 1:])
+
+
+def _repeated_vertex_instances(d):
+    """R2 and R3 instances that name a kinked vertex twice, on its edges."""
+    for (v,), (loop,) in ((m.vertices, m.sites) for m in find_r1(d)):
+        at_v = [e for e in d.edges() if v in (e[0][0], e[1][0])]
+        for e1, e2 in itertools.permutations(at_v, 2):
+            w = e1[1][0] if e1[0][0] == v else e1[0][0]
+            yield MoveInstance("r2-", (v, v), (e1, e2))
+            yield MoveInstance(R3, (v, v, w), (loop, e1, e2))
+            yield MoveInstance(R3, (v, w, v), (e1, loop, e2))
+            yield MoveInstance(R3, (w, v, v), (e1, e2, loop))
+
+
+def _outcome(apply, d, m):
+    try:
+        return apply(d, m)
+    except CodeError:
+        return CodeError
+
+
+def test_r2_decrease_and_r3_match_the_label_level_oracles():
+    rng = random.Random(8)
+    diagrams = [to_framed(can.code()) for n in range(2, 6) for k in (1, 2, 3) for can in enumerate_codes(n, k)]
+    for _ in range(60):
+        n, k = rng.randint(4, 7), rng.randint(1, 3)
+        c = random_moves(random_diagram(n, k, rng), 3, n + 2, rng)
+        # and a copy under shuffled letters, whose vertex order differs
+        letters = dict(zip(c.labels(), rng.sample("abcdefghijklmnopqrstuvwxyz", len(c.labels()))))
+        diagrams += [to_framed(c), to_framed(_letter_copy(c, letters))]
+    apply = {"r2-": (apply_r2_decrease, naive_apply_r2_decrease), R3: (apply_r3, naive_apply_r3)}
+    sites = {"r2-": 0, R3: 0}
+    for d in diagrams:
+        instances = list(_repeated_vertex_instances(d))
+        for m in find_r2(d) + find_r3(d):
+            sites[m.kind] += 1
+            instances += _near_instances(d, m, rng)
+        for m in instances:
+            fast, oracle = apply[m.kind]
+            assert _outcome(fast, d, m) == _outcome(oracle, d, m), (from_framed(d), m)
+    assert sites["r2-"] > 1000 and sites[R3] > 1000, sites
 
 
 def test_r3_component_count_conserved_on_random_diagrams():
