@@ -37,7 +37,7 @@ from .diagrams import (
     parse_gauss_code,
     to_framed,
 )
-from .moves import find_all_moves, apply_move, find_r2
+from .moves import _apply, _labelled, _moves, find_r2
 from .parity import (
     InterlacementGraph,
     component_parity,
@@ -47,6 +47,13 @@ from .parity import (
 )
 
 REALIZABLE_MAX_VERTICES = 8
+
+#: a move search raises ``BudgetError`` once it has visited more classes
+#: than this.  A visited class keeps about 560 bytes alive: its canonical
+#: code (about 290) and its parent link and move (about 270, measured with
+#: tracemalloc on ``explore_moves("a b c a b c", 7, 4)``, 3,211 classes).
+#: So 2**18 classes take about 150 MB, besides canonicalize's own cache.
+SEARCH_MAX_VISITED = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +257,11 @@ class SearchReport:
 
 
 def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, max_depth: int) -> SearchReport:
+    """Breadth-first search over classes by the integer moves of each class's
+    framed graph, whose labels are ``0..n-1``.  Each class keeps its parent
+    and the move that reached it; only the moves on the path to a reached
+    target are labelled.  Budget: ``SEARCH_MAX_VISITED`` classes."""
+    limit = SEARCH_MAX_VISITED
     parents: dict = {start: None}
     frontier = [start]
     depth = 0
@@ -262,8 +274,9 @@ def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, 
             steps = []
             cur = target
             while parents[cur] is not None:
-                cur, desc = parents[cur]
-                steps.append(desc)
+                cur, move = parents[cur]
+                m = _labelled(to_framed(cur), move)
+                steps.append(f"{m.kind}@{m.vertices or m.sites}")
             path = tuple(reversed(steps))
         return SearchReport(
             start, target, max_vertices, max_depth, found,
@@ -277,14 +290,16 @@ def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, 
         nxt = []
         for can in frontier:
             d = to_framed(can)
-            for m in find_all_moves(d, max_vertices):
-                child = canonical_of(apply_move(d, m))
+            for move in _moves(d, max_vertices):
+                child = canonical_of(_apply(d, move))
                 if child in parents:
                     continue
-                parents[child] = (can, f"{m.kind}@{m.vertices or m.sites}")
+                parents[child] = (can, move)
                 min_seen = min(min_seen, child.chord_count)
                 if target is not None and child == target:
                     return finish(True)
+                if len(parents) > limit:
+                    raise BudgetError(f"move search visited more than {limit} classes")
                 nxt.append(child)
         frontier = nxt
     return finish(False if target is not None else None)
@@ -334,10 +349,10 @@ def random_moves(code, count: int, max_vertices: int, seed) -> GaussCode:
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     d = to_framed(code)
     for _ in range(count):
-        insts = find_all_moves(d, max_vertices)
-        if not insts:
+        moves = list(_moves(d, max_vertices))
+        if not moves:
             break
-        d = apply_move(d, rng.choice(insts))
+        d = _apply(d, rng.choice(moves))
     return from_framed(d)
 
 

@@ -22,6 +22,7 @@ matching, ``remove_vertex``.  Nothing is oriented or has over/under data.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import InitVar, dataclass
@@ -210,11 +211,15 @@ class FramedDiagram:
         return len(self.labels)
 
     def index(self, v) -> int:
-        """Position of vertex ``v`` in ``labels``."""
+        """Position of vertex ``v`` in ``labels``, by binary search."""
+        labels = self.labels
         try:
-            return self.labels.index(v)
-        except ValueError:
-            raise CodeError(f"vertex {v!r} not in diagram") from None
+            i = bisect.bisect_left(labels, v)
+        except TypeError:  # v does not compare with the labels
+            i = len(labels)
+        if i == len(labels) or labels[i] != v:
+            raise CodeError(f"vertex {v!r} not in diagram")
+        return i
 
     def half_edge(self, h: int) -> tuple:
         """Half-edge ``h`` as a ``(vertex, slot)`` pair."""
@@ -342,10 +347,16 @@ def splice_out(d: FramedDiagram, repairings: dict) -> FramedDiagram:
     """Remove the vertices in ``repairings`` (vertex -> slot re-pairing) and
     reconnect edges along the induced strands.  Strand pieces that close up
     without touching a surviving vertex become free loops."""
+    return splice_out_at(d, {d.index(v): pairing for v, pairing in repairings.items()})
+
+
+def splice_out_at(d: FramedDiagram, repairings: dict) -> FramedDiagram:
+    """``splice_out`` with the vertices given by number, not by label."""
     labels, mate, free = list(d.labels), d.mate[:], d.free_loops
     # from the last vertex down, so the vertices still to go keep their numbers
-    for i in sorted(map(d.index, repairings), reverse=True):
-        free += remove_vertex(mate, i, repairings[labels.pop(i)])
+    for i in sorted(repairings, reverse=True):
+        free += remove_vertex(mate, i, repairings[i])
+        del labels[i]
         del mate[4 * i:4 * i + 4]
         # the half-edges above vertex i move down four places
         new = [*range(4 * i), -1, -1, -1, -1, *range(4 * i, len(mate))]
@@ -355,8 +366,9 @@ def splice_out(d: FramedDiagram, repairings: dict) -> FramedDiagram:
 
 def fresh_vertex_ids(d: FramedDiagram, count: int) -> list:
     """Deterministic new vertex ids that do not collide with existing ones.
-    Integer diagrams get successive integers, others get w0, w1, ..."""
-    if all(isinstance(v, int) for v in d.labels):
+    Integer diagrams get successive integers, others get w0, w1, ...  The
+    labels are sorted, so they are of one comparable type: the last decides."""
+    if not d.labels or isinstance(d.labels[-1], int):
         nxt = d.labels[-1] + 1 if d.labels else 0
         return list(range(nxt, nxt + count))
     existing = set(d.labels)
@@ -482,6 +494,12 @@ def canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
 
 
 def canonical_of(d: GaussCode | CanonicalCode | FramedDiagram) -> CanonicalCode:
+    """The canonical form of any diagram form.  The form ignores labels, so
+    a framed diagram is looked up by the words of its vertex numbers: one
+    cache key for every labelling."""
+    if isinstance(d, FramedDiagram):
+        words = tuple([tuple([h >> 2 for h in seq]) for seq in circles(d.mate)])
+        return canonicalize(GaussCode(words, d.free_loops, validate=False))
     return canonicalize(as_code(d))
 
 

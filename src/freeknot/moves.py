@@ -11,16 +11,22 @@ Increase sites are strand pieces: an existing edge, or a free loop.  A free
 loop site is written ``("loop", i)`` with ``i`` in {0, 1}: it names the
 (i+1)-th free loop, which must exist, so two sites select distinct
 (interchangeable) loops; passing the same loop site twice to the R2 increase
-pushes a circle across itself.  Moves name vertices and ``(vertex, slot)``
-half-edges; they act on the integer matching of ``FramedDiagram``.  Each
-site is read once into an integer edge, oriented from its named vertex, and
-a move is checked and rewired on ``mate`` alone.  The increases append their
-fresh vertices, link them to the site half-edges as read, and then renumber
-the vertices into label order.
+pushes a circle across itself.
+
+Moves are integer inside and labelled only at the public edge.  ``_moves``
+enumerates a diagram's moves as ``(kind, sites, selector)`` on the integer
+matching of ``FramedDiagram``, a site being an edge ``(h, g)`` or ``(~i, ~i)``
+for free loop ``i``, and ``_apply`` is the one kernel that rewires them.
+The finders label these moves as ``MoveInstance``s of vertex names and
+``(vertex, slot)`` half-edges; the public applies read each labelled site
+once into an integer edge, oriented from its named vertex, check it on
+``mate`` and call the kernel.  Increases append their fresh vertices, which
+move into label order only when a fresh id sorts before an old label.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -35,7 +41,7 @@ from .diagrams import (
     canonical_of,
     fresh_vertex_ids,
     renumber,
-    splice_out,
+    splice_out_at,
     to_framed,
 )
 
@@ -51,6 +57,7 @@ PATTERN_CROSSED = "crossed"
 #: increase site for one free loop (index distinguishes two distinct loops)
 LOOP_SITE = ("loop", 0)
 LOOP_SITE_2 = ("loop", 1)
+_LOOPS = ((~0, ~0), (~1, ~1))
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,6 @@ class MoveInstance:
     vertices: tuple = ()
     sites: tuple = ()
     selector: object = None
-
-
-def _labelled(d: FramedDiagram, e) -> tuple:
-    return tuple(d.half_edge(h) for h in e)
 
 
 def _edge(d: FramedDiagram, e, ends=None, kind: str = "") -> tuple[int, int]:
@@ -101,37 +104,29 @@ def _parts(m: MoveInstance, vertex_count: int, site_count: int) -> tuple:
     return m.vertices, m.sites
 
 
-def _site(d: FramedDiagram, site):
-    """The integer edge of an increase site, or ``None`` for a free-loop
-    site, whose loop must exist."""
+def _site(d: FramedDiagram, site) -> tuple[int, int]:
+    """The integer site of an increase site; a free loop must exist."""
     if site not in (LOOP_SITE, LOOP_SITE_2):
         return _edge(d, site)
     if d.free_loops <= site[1]:
         raise CodeError(f"no free loop for site {site!r}")
-    return None
+    return _LOOPS[site[1]]
 
 
-def _link(mate: list, pairs):
-    for a, b in pairs:
-        mate[a], mate[b] = b, a
+def _labelled(d: FramedDiagram, move) -> MoveInstance:
+    """The ``MoveInstance`` of the integer move ``move`` of ``d``."""
+    kind, sites, selector = move
+    labelled = tuple((LOOP_SITE, LOOP_SITE_2)[~h] if h < 0 else (d.half_edge(h), d.half_edge(g))
+                     for h, g in sites)
+    if kind in (R1_UP, R2_UP):
+        return MoveInstance(kind, (), labelled, selector)
+    # a decrease or a slide names the vertices of its sites in increasing order
+    vertices = sorted({h >> 2 for e in sites for h in e})
+    return MoveInstance(kind, tuple(d.labels[i] for i in vertices), labelled, selector)
 
 
-def _grown(d: FramedDiagram, count: int):
-    """The labels and matching of ``d`` with ``count`` fresh vertices
-    appended, their slots unmatched, and the first half-edge of each fresh
-    vertex.  Old half-edges keep their numbers."""
-    n = len(d.mate)
-    return (d.labels + tuple(fresh_vertex_ids(d, count)), d.mate + [-1] * (4 * count),
-            range(n, n + 4 * count, 4))
-
-
-def _in_label_order(labels: tuple, mate: list, free_loops: int) -> FramedDiagram:
-    """The grown diagram with its vertices renumbered by increasing label."""
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    # fresh integer ids follow the old ones, so integer diagrams skip this
-    if order != list(range(len(labels))):
-        labels, mate = tuple(labels[i] for i in order), renumber(mate, order)
-    return FramedDiagram(labels, mate, free_loops, validate=False)
+# ---------------------------------------------------------------------------
+# The integer moves of a diagram
 
 
 def _edges_between(d: FramedDiagram):
@@ -144,19 +139,189 @@ def _edges_between(d: FramedDiagram):
     return by_pair
 
 
+def _kinks(mate: list):
+    """R1-: one per vertex carrying a loop edge (an edge joining two of its
+    own non-opposite slots), the loop at its first slot."""
+    for i in range(len(mate) >> 2):
+        for h in range(4 * i, 4 * i + 4):
+            g = mate[h]
+            if g >> 2 == i and g != h ^ 2:
+                yield R1_DOWN, ((h, g),), None
+                break
+
+
+def _bigons_of(by_pair: dict):
+    """R2-: vertex pairs joined by two edges occupying non-opposite slots
+    at both ends."""
+    for _, edges in sorted(by_pair.items()):
+        for k, (h1, g1) in enumerate(edges):
+            for h2, g2 in edges[k + 1:]:
+                if h1 ^ h2 != 2 and g1 ^ g2 != 2:
+                    yield R2_DOWN, ((h1, g1), (h2, g2)), None
+
+
+def _triangles(by_pair: dict, vertex_count: int):
+    """R3: vertex triples pairwise joined by edges, the two triangle edges
+    non-opposite at every corner; sites (e_uv, e_uw, e_vw)."""
+    for (i, j), uv in sorted(by_pair.items()):
+        for k in range(j + 1, vertex_count):
+            uw, vw = by_pair.get((i, k)), by_pair.get((j, k))
+            if not uw or not vw:
+                continue
+            # an edge (h, g) of a pair has h at its lower vertex
+            for e_uv in uv:
+                for e_uw in uw:
+                    if e_uw[0] ^ e_uv[0] == 2:
+                        continue
+                    for e_vw in vw:
+                        if e_vw[0] ^ e_uv[1] != 2 and e_vw[1] ^ e_uw[1] != 2:
+                            yield R3, (e_uv, e_uw, e_vw), None
+
+
+def _increases(d: FramedDiagram, max_vertices: int):
+    """R1+ on every edge and the first free loop, then R2+ on every
+    unordered pair of sites, while the result keeps within ``max_vertices``."""
+    sites = [(h, g) for h, g in enumerate(d.mate) if h < g] + list(_LOOPS[:d.free_loops])
+    if d.vertex_count + 1 <= max_vertices:
+        for site in sites:
+            if site != _LOOPS[1]:  # loops interchangeable for kinking
+                yield R1_UP, (site,), 0
+                yield R1_UP, (site,), 1
+    if d.vertex_count + 2 <= max_vertices:
+        for i, s in enumerate(sites):
+            for t in sites[i:]:
+                yield R2_UP, (s, t), PATTERN_PARALLEL
+                yield R2_UP, (s, t), PATTERN_CROSSED
+
+
+def _moves(d: FramedDiagram, max_vertices: int):
+    """Every move of ``d`` whose result keeps within ``max_vertices``, as an
+    integer move: R1-, R2-, R3, R1+, R2+, each kind in scan order."""
+    by_pair = _edges_between(d)
+    yield from _kinks(d.mate)
+    yield from _bigons_of(by_pair)
+    yield from _triangles(by_pair, d.vertex_count)
+    yield from _increases(d, max_vertices)
+
+
 # ---------------------------------------------------------------------------
-# R1
+# The kernel
+
+
+def _link(mate: list, pairs):
+    for a, b in pairs:
+        mate[a], mate[b] = b, a
+
+
+def _grown(d: FramedDiagram, mate: list, free_loops: int, count: int) -> FramedDiagram:
+    """``d`` grown to the matching ``mate``, whose last ``count`` vertices
+    are new: they get fresh ids and are merged into label order.  Fresh
+    integer ids follow the old ones, so only string ids can move."""
+    fresh = fresh_vertex_ids(d, count)
+    labels = d.labels + tuple(fresh)
+    if d.labels and min(fresh) < d.labels[-1]:
+        key = labels.__getitem__
+        old = len(d.labels)
+        order = list(heapq.merge(range(old), sorted(range(old, len(labels)), key=key), key=key))
+        labels, mate = tuple(map(key, order)), renumber(mate, order)
+    return FramedDiagram(labels, mate, free_loops, validate=False)
+
+
+def _apply(d: FramedDiagram, move) -> FramedDiagram:
+    """The result of the integer move ``move`` on ``d``: a move ``_moves``
+    gave, or one the public applies checked."""
+    kind, sites, selector = move
+    if kind == R1_DOWN:
+        ((h, g),) = sites
+        # the smoothing that does NOT pair the loop slots together absorbs it
+        return splice_out_at(d, {h >> 2: PAIRING_B if h ^ g == 1 else PAIRING_A})
+    if kind == R2_DOWN:
+        # each transit strand is spliced straight through
+        (h, g), _ = sites
+        return splice_out_at(d, {h >> 2: PAIRING_FLAT, g >> 2: PAIRING_FLAT})
+    if kind == R3:
+        # each external end hops along its triangle edge, onto the slot that edge vacates
+        hop = {h ^ 2: g for h, g in sites + tuple((g, h) for h, g in sites)}
+        mate = d.mate[:]
+        for h, g in hop.items():
+            x = d.mate[h]
+            mate[g] = y = hop.get(x, x)
+            mate[y] = g
+        # the slots the external ends vacate form the new triangle
+        _link(mate, [(h ^ 2, g ^ 2) for h, g in sites])
+        return FramedDiagram(d.labels, mate, d.free_loops, validate=False)
+    # an increase appends its fresh vertices u (and v): old half-edges keep their numbers
+    u = len(d.mate)
+    v = u + 4
+    (h0, h1), (k0, k1) = sites[0], sites[-1]
+    parallel = selector == PATTERN_PARALLEL
+    free = d.free_loops
+    if kind == R1_UP and h0 < 0:
+        free -= 1
+        pairs = [(u + 1, u + 2), (u + 3, u)]
+    elif kind == R1_UP:
+        pairs = [(h0, u), (u + 2, u + 1), (u + 3, h1)] if selector == 0 else [(h0, u), (u + 2, u + 3), (u + 1, h1)]
+    elif h0 < 0 and k0 < 0 and h0 == k0:
+        # one circle across itself: interlaced or nested double point pair
+        free -= 1
+        if parallel:
+            pairs = [(u + 2, v), (v + 2, u + 1), (u + 3, v + 1), (v + 3, u)]
+        else:
+            pairs = [(u + 2, v), (v + 2, v + 1), (v + 3, u + 1), (u + 3, u)]
+    elif h0 < 0 and k0 < 0:
+        free -= 2
+        pairs = [(u + 2, v), (v + 2, u), (u + 3, v + 1), (v + 3, u + 1)]
+    elif h0 < 0 or k0 < 0:
+        free -= 1
+        if h0 < 0:
+            h0, h1 = k0, k1
+        pairs = [(h0, u), (u + 2, v), (v + 2, h1), (u + 3, v + 1), (v + 3, u + 1)]
+    elif (h0, h1) == (k0, k1):
+        if parallel:
+            pairs = [(h0, u), (u + 2, v), (v + 2, u + 1), (u + 3, v + 1), (v + 3, h1)]
+        else:
+            pairs = [(h0, u), (u + 2, v), (v + 2, v + 1), (v + 3, u + 1), (u + 3, h1)]
+    else:
+        pairs = [(h0, u), (u + 2, v), (v + 2, h1)]
+        if parallel:
+            pairs += [(k0, u + 1), (u + 3, v + 1), (v + 3, k1)]
+        else:
+            pairs += [(k0, v + 1), (v + 3, u + 1), (u + 3, k1)]
+    count = len(sites)  # one fresh vertex for R1+, two for R2+
+    mate = d.mate + [-1] * (4 * count)
+    _link(mate, pairs)
+    return _grown(d, mate, free, count)
+
+
+# ---------------------------------------------------------------------------
+# The labelled moves: finders and checked applies
 
 
 def find_r1(d: FramedDiagram) -> list[MoveInstance]:
     """One instance per vertex carrying a loop edge (an edge joining two of
     its own non-opposite slots)."""
-    out = []
-    for i, v in enumerate(d.labels):
-        loops = [h for h in range(4 * i, 4 * i + 4) if d.mate[h] >> 2 == i and d.mate[h] != h ^ 2]
-        if loops:
-            out.append(MoveInstance(R1_DOWN, (v,), (_labelled(d, (loops[0], d.mate[loops[0]])),)))
-    return out
+    return [_labelled(d, m) for m in _kinks(d.mate)]
+
+
+def find_r2(d: FramedDiagram) -> list[MoveInstance]:
+    """Bigons: unordered vertex pairs joined by two edges occupying
+    non-opposite slots at both ends."""
+    return [_labelled(d, m) for m in _bigons_of(_edges_between(d))]
+
+
+def find_r3(d: FramedDiagram) -> list[MoveInstance]:
+    """Triangles: vertex triples pairwise joined by edges, the two triangle
+    edges non-opposite at every corner.  Sites carry (e_uv, e_uw, e_vw)."""
+    return [_labelled(d, m) for m in _triangles(_edges_between(d), d.vertex_count)]
+
+
+def find_increases(d: FramedDiagram, max_vertices: int) -> list[MoveInstance]:
+    """All R1+/R2+ instances whose result stays within ``max_vertices``."""
+    return [_labelled(d, m) for m in _increases(d, max_vertices)]
+
+
+def find_all_moves(d: FramedDiagram, max_vertices: int) -> list[MoveInstance]:
+    return [_labelled(d, m) for m in _moves(d, max_vertices)]
 
 
 def apply_r1_decrease(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
@@ -166,58 +331,27 @@ def apply_r1_decrease(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     h, g = _edge(d, loop, (v, v), "R1")
     if h ^ g == 2:
         raise CodeError("loop edge joins opposite slots; not an R1 site")
-    # the smoothing that does NOT pair the loop slots together absorbs it
-    pairing = PAIRING_B if h ^ g == 1 else PAIRING_A
-    return splice_out(d, {v: pairing})
+    return _apply(d, (R1_DOWN, ((h, g),), None))
 
 
 def apply_r1_increase(d: FramedDiagram, site, side: int = 0) -> FramedDiagram:
     """Put a kink on an edge, or on a free loop (site=("loop", 0))."""
     if side not in (0, 1):
         raise CodeError("side must be 0 or 1")
-    e = _site(d, site)
-    labels, mate, (u,) = _grown(d, 1)
-    if e is None:
-        _link(mate, [(u + 1, u + 2), (u + 3, u)])
-    else:
-        h0, h1 = e
-        _link(mate, [(h0, u), (u + 2, u + 1), (u + 3, h1)] if side == 0
-              else [(h0, u), (u + 2, u + 3), (u + 1, h1)])
-    return _in_label_order(labels, mate, d.free_loops - (e is None))
-
-
-# ---------------------------------------------------------------------------
-# R2
-
-
-def find_r2(d: FramedDiagram) -> list[MoveInstance]:
-    """Bigons: unordered vertex pairs joined by two edges occupying
-    non-opposite slots at both ends."""
-    out = []
-    for (i, j), edges in sorted(_edges_between(d).items()):
-        for k, (h1, g1) in enumerate(edges):
-            for h2, g2 in edges[k + 1:]:
-                if h1 ^ h2 != 2 and g1 ^ g2 != 2:
-                    out.append(MoveInstance(R2_DOWN, (d.labels[i], d.labels[j]),
-                                            (_labelled(d, (h1, g1)), _labelled(d, (h2, g2)))))
-    return out
+    return _apply(d, (R1_UP, (_site(d, site),), side))
 
 
 def apply_r2_decrease(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     """Remove the bigon; each transit strand is spliced straight through."""
     (u, v), sites = _parts(m, 2, 2)
-    (h1, g1), (h2, g2) = (_edge(d, e, (u, v), "R2") for e in sites)
+    (h1, g1), (h2, g2) = ends = tuple(_edge(d, e, (u, v), "R2") for e in sites)
     if h1 >> 2 == g1 >> 2:
         raise CodeError(f"invalid R2 site {m!r}")
     if h1 == h2:
         raise CodeError(f"one edge given as both R2 sites: {m!r}")
     if h1 ^ h2 == 2 or g1 ^ g2 == 2:
         raise CodeError("edge pair is opposite at an endpoint; not a bigon")
-    return splice_out(d, {u: PAIRING_FLAT, v: PAIRING_FLAT})
-
-
-def _strand_sites(d: FramedDiagram) -> list:
-    return d.edges() + [LOOP_SITE, LOOP_SITE_2][:d.free_loops]
+    return _apply(d, (R2_DOWN, ends, None))
 
 
 def apply_r2_increase(d: FramedDiagram, site1, site2, pattern: str = PATTERN_PARALLEL) -> FramedDiagram:
@@ -229,67 +363,9 @@ def apply_r2_increase(d: FramedDiagram, site1, site2, pattern: str = PATTERN_PAR
     if pattern not in (PATTERN_PARALLEL, PATTERN_CROSSED):
         raise CodeError(f"unknown pattern {pattern!r}")
     e1, e2 = _site(d, site1), _site(d, site2)
-    if e1 and e2 and e1 != e2 and set(e1) & set(e2):
+    if e1 != e2 and set(e1) & set(e2):
         raise CodeError("an edge site given twice must have its ends in the same order")
-    labels, mate, (u, v) = _grown(d, 2)
-    parallel = pattern == PATTERN_PARALLEL
-    free = d.free_loops
-    if e1 is None and e2 is None and site1 == site2:
-        # one circle across itself: interlaced or nested double point pair
-        free -= 1
-        if parallel:
-            pairs = [(u + 2, v), (v + 2, u + 1), (u + 3, v + 1), (v + 3, u)]
-        else:
-            pairs = [(u + 2, v), (v + 2, v + 1), (v + 3, u + 1), (u + 3, u)]
-    elif e1 is None and e2 is None:
-        free -= 2
-        pairs = [(u + 2, v), (v + 2, u), (u + 3, v + 1), (v + 3, u + 1)]
-    elif e1 is None or e2 is None:
-        free -= 1
-        h0, h1 = e1 or e2
-        pairs = [(h0, u), (u + 2, v), (v + 2, h1), (u + 3, v + 1), (v + 3, u + 1)]
-    elif e1 == e2:
-        h0, h1 = e1
-        if parallel:
-            pairs = [(h0, u), (u + 2, v), (v + 2, u + 1), (u + 3, v + 1), (v + 3, h1)]
-        else:
-            pairs = [(h0, u), (u + 2, v), (v + 2, v + 1), (v + 3, u + 1), (u + 3, h1)]
-    else:
-        (h1a, h1b), (h2a, h2b) = e1, e2
-        pairs = [(h1a, u), (u + 2, v), (v + 2, h1b)]
-        if parallel:
-            pairs += [(h2a, u + 1), (u + 3, v + 1), (v + 3, h2b)]
-        else:
-            pairs += [(h2a, v + 1), (v + 3, u + 1), (u + 3, h2b)]
-    _link(mate, pairs)
-    return _in_label_order(labels, mate, free)
-
-
-# ---------------------------------------------------------------------------
-# R3
-
-
-def find_r3(d: FramedDiagram) -> list[MoveInstance]:
-    """Triangles: vertex triples pairwise joined by edges, the two triangle
-    edges non-opposite at every corner.  Sites carry (e_uv, e_uw, e_vw)."""
-    by_pair = _edges_between(d)
-    out = []
-    for (i, j), uv in sorted(by_pair.items()):
-        for k in range(j + 1, d.vertex_count):
-            uw, vw = by_pair.get((i, k)), by_pair.get((j, k))
-            if not uw or not vw:
-                continue
-            # an edge (h, g) of a pair has h at its lower vertex
-            for e_uv in uv:
-                for e_uw in uw:
-                    if e_uw[0] ^ e_uv[0] == 2:
-                        continue
-                    for e_vw in vw:
-                        if e_vw[0] ^ e_uv[1] == 2 or e_vw[1] ^ e_uw[1] == 2:
-                            continue
-                        out.append(MoveInstance(R3, (d.labels[i], d.labels[j], d.labels[k]),
-                                                tuple(_labelled(d, e) for e in (e_uv, e_uw, e_vw))))
-    return out
+    return _apply(d, (R2_UP, (e1, e2), pattern))
 
 
 def apply_r3(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
@@ -297,22 +373,13 @@ def apply_r3(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     move is an involution on its site and changes no component or vertex
     counts."""
     (u, v, w), sites = _parts(m, 3, 3)
-    ends = [_edge(d, e, pair, "R3") for e, pair in zip(sites, ((u, v), (u, w), (v, w)))]
+    ends = tuple(_edge(d, e, pair, "R3") for e, pair in zip(sites, ((u, v), (u, w), (v, w))))
     (a, a2), (b, b2), (c, c2) = ends
     if len({a >> 2, a2 >> 2, b2 >> 2}) < 3:
         raise CodeError(f"invalid R3 site {m!r}")
     if b == a ^ 2 or c == a2 ^ 2 or c2 == b2 ^ 2:
         raise CodeError(f"edges are opposite at a corner; not a triangle: {m!r}")
-    # each external end hops along its triangle edge, onto the slot that edge vacates
-    hop = {h ^ 2: g for h, g in ends + [(g, h) for h, g in ends]}
-    mate = d.mate[:]
-    for h, g in hop.items():
-        x = d.mate[h]
-        mate[g] = y = hop.get(x, x)
-        mate[y] = g
-    # the slots the external ends vacate form the new triangle
-    _link(mate, [(a ^ 2, a2 ^ 2), (b ^ 2, b2 ^ 2), (c ^ 2, c2 ^ 2)])
-    return FramedDiagram(d.labels, mate, d.free_loops, validate=False)
+    return _apply(d, (R3, ends, None))
 
 
 # ---------------------------------------------------------------------------
@@ -333,28 +400,6 @@ def apply_move(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     if m.kind == R3:
         return apply_r3(d, m)
     raise CodeError(f"unknown move kind {m.kind!r}")
-
-
-def find_increases(d: FramedDiagram, max_vertices: int) -> list[MoveInstance]:
-    """All R1+/R2+ instances whose result stays within ``max_vertices``."""
-    out = []
-    sites = _strand_sites(d)
-    if d.vertex_count + 1 <= max_vertices:
-        for site in sites:
-            if site == LOOP_SITE_2:
-                continue  # loops interchangeable for kinking
-            for side in (0, 1):
-                out.append(MoveInstance(R1_UP, (), (site,), side))
-    if d.vertex_count + 2 <= max_vertices:
-        for i in range(len(sites)):
-            for j in range(i, len(sites)):
-                for pattern in (PATTERN_PARALLEL, PATTERN_CROSSED):
-                    out.append(MoveInstance(R2_UP, (), (sites[i], sites[j]), pattern))
-    return out
-
-
-def find_all_moves(d: FramedDiagram, max_vertices: int) -> list[MoveInstance]:
-    return find_r1(d) + find_r2(d) + find_r3(d) + find_increases(d, max_vertices)
 
 
 def _bigons(mate: list, first_only: bool) -> list:
@@ -385,7 +430,7 @@ def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Rand
     d = to_framed(code)
     while bigons := _bigons(d.mate, _rng is None):
         pair = bigons[0] if _rng is None else _rng.choice(bigons)
-        d = splice_out(d, {d.labels[i]: PAIRING_FLAT for i in pair})
+        d = splice_out_at(d, dict.fromkeys(pair, PAIRING_FLAT))
     return canonical_of(d), d.free_loops > 0
 
 
@@ -396,9 +441,9 @@ def neighbors(d: FramedDiagram, allow_increase: int = 0) -> list[FramedDiagram]:
     loop; this one-step neighbourhood is kept as public API, and the
     acceptance tests check it."""
     results: dict[CanonicalCode, FramedDiagram] = {}
-    for m in find_all_moves(d, d.vertex_count + allow_increase):
-        if m.kind == R1_UP and m.selector == 1:
+    for move in _moves(d, d.vertex_count + allow_increase):
+        if move[0] == R1_UP and move[2] == 1:
             continue  # the two kink chiralities are isomorphic
-        nd = apply_move(d, m)
+        nd = _apply(d, move)
         results.setdefault(canonical_of(nd), nd)
     return [results[c] for c in sorted(results)]

@@ -8,7 +8,10 @@ Results are compared canonically.
 The state sums and R2 reduction are also recomputed the plain way, every
 state built by ``resolve`` and reduced one ``apply_r2_decrease`` at a time.
 The second-move decrease and the triangle slide are also checked and applied
-on ``(vertex, slot)`` pairs, with edges looked up in ``edges()``.
+on ``(vertex, slot)`` pairs, with edges looked up in ``edges()``.  All five
+moves are also found on the labelled ``edges()`` and applied to a dict
+matching of ``(vertex, slot)`` pairs, and the move search is also run on
+those labelled moves, each child keyed by its labelled Gauss code.
 Splices and unicursal walks are redone on a dict from ``(vertex, slot)`` to
 ``(vertex, slot)`` built from ``edges()``, apart from the integer matching.
 Sums of link classes are compared up to all three moves by a move
@@ -23,8 +26,11 @@ from __future__ import annotations
 import functools
 import itertools
 
+from freeknot.analysis import SearchReport
 from freeknot.brackets import resolve, split_smoothing
 from freeknot.diagrams import (
+    PAIRING_A,
+    PAIRING_B,
     PAIRING_FLAT,
     CanonicalCode,
     CodeError,
@@ -32,12 +38,24 @@ from freeknot.diagrams import (
     GaussCode,
     as_code,
     canonical_of,
+    canonicalize,
     component_count,
     enumerate_codes,
+    from_framed,
     splice_out,
     to_framed,
 )
-from freeknot.moves import MoveInstance, apply_move, apply_r2_decrease, find_r1, find_r2, find_r3
+from freeknot.moves import (
+    LOOP_SITE,
+    LOOP_SITE_2,
+    MoveInstance,
+    apply_move,
+    apply_r2_decrease,
+    find_all_moves,
+    find_r1,
+    find_r2,
+    find_r3,
+)
 from freeknot.parity import component_parity, gaussian_parity
 
 
@@ -303,6 +321,143 @@ def naive_apply_r3(d, m: MoveInstance):
     for x, y in new_triangle:
         mate[at[x]], mate[at[y]] = at[y], at[x]
     return FramedDiagram(d.labels, mate, d.free_loops, validate=False)
+
+
+def naive_find_all_moves(d, max_vertices: int) -> list[MoveInstance]:
+    """Every move of ``d`` found on its labelled ``edges()``, each an edge
+    ``((u, s), (v, t))`` with ``(u, s) < (v, t)``, in the order of the
+    finders: kinks, bigons and triangles by vertex, then the increases."""
+    edges = d.edges()
+    out = []
+    for v in d.labels:
+        kinks = [e for e in edges if e[0][0] == e[1][0] == v and e[0][1] ^ e[1][1] != 2]
+        if kinks:
+            out.append(MoveInstance("r1-", (v,), (kinks[0],)))
+    by_pair: dict = {}
+    for e in edges:
+        if e[0][0] != e[1][0]:
+            by_pair.setdefault((e[0][0], e[1][0]), []).append(e)
+    for (u, v), es in sorted(by_pair.items()):
+        for k, e1 in enumerate(es):
+            for e2 in es[k + 1:]:
+                if e1[0][1] ^ e2[0][1] != 2 and e1[1][1] ^ e2[1][1] != 2:
+                    out.append(MoveInstance("r2-", (u, v), (e1, e2)))
+    for (u, v), uv in sorted(by_pair.items()):
+        for w in d.labels[d.labels.index(v) + 1:]:
+            for e_uv, e_uw, e_vw in itertools.product(uv, by_pair.get((u, w), ()), by_pair.get((v, w), ())):
+                if (e_uw[0][1] ^ e_uv[0][1] != 2 and e_vw[0][1] ^ e_uv[1][1] != 2
+                        and e_vw[1][1] ^ e_uw[1][1] != 2):
+                    out.append(MoveInstance("r3", (u, v, w), (e_uv, e_uw, e_vw)))
+    sites = edges + [LOOP_SITE, LOOP_SITE_2][:d.free_loops]
+    if d.vertex_count + 1 <= max_vertices:
+        out += [MoveInstance("r1+", (), (s,), side) for s in sites if s != LOOP_SITE_2 for side in (0, 1)]
+    if d.vertex_count + 2 <= max_vertices:
+        out += [MoveInstance("r2+", (), (s, t), pattern)
+                for i, s in enumerate(sites) for t in sites[i:] for pattern in ("parallel", "crossed")]
+    return out
+
+
+def _fresh_ids(labels, count: int) -> list:
+    if all(isinstance(v, int) for v in labels):
+        return [max(labels, default=-1) + 1 + k for k in range(count)]
+    return list(itertools.islice((f"w{i}" for i in itertools.count() if f"w{i}" not in labels), count))
+
+
+def naive_apply_move(d, m: MoveInstance):
+    """A found move applied on ``(vertex, slot)`` pairs: a decrease by
+    ``splice_out`` on labels, the slide by ``naive_apply_r3``, and an
+    increase by linking fresh vertices into a dict matching, whose labels are
+    then sorted."""
+    if m.kind == "r1-":
+        ((_, s), (_, t)), = m.sites
+        return splice_out(d, {m.vertices[0]: PAIRING_B if s ^ t == 1 else PAIRING_A})
+    if m.kind == "r2-":
+        return naive_apply_r2_decrease(d, m)
+    if m.kind == "r3":
+        return naive_apply_r3(d, m)
+    fresh = _fresh_ids(d.labels, 1 if m.kind == "r1+" else 2)
+    u = [(fresh[0], s) for s in range(4)]
+    v = [(fresh[-1], s) for s in range(4)]
+    loops = [s for s in m.sites if s in (LOOP_SITE, LOOP_SITE_2)]
+    edges = [s for s in m.sites if s not in loops]
+    if m.kind == "r1+":
+        if loops:
+            pairs = [(u[1], u[2]), (u[3], u[0])]
+        else:
+            (h0, h1), = edges
+            pairs = [(h0, u[0]), (u[2], u[1]), (u[3], h1)] if m.selector == 0 else [(h0, u[0]), (u[2], u[3]), (u[1], h1)]
+    elif len(loops) == 2:
+        if loops[0] != loops[1]:
+            pairs = [(u[2], v[0]), (v[2], u[0]), (u[3], v[1]), (v[3], u[1])]
+        elif m.selector == "parallel":
+            pairs = [(u[2], v[0]), (v[2], u[1]), (u[3], v[1]), (v[3], u[0])]
+        else:
+            pairs = [(u[2], v[0]), (v[2], v[1]), (v[3], u[1]), (u[3], u[0])]
+    elif loops:
+        (h0, h1), = edges
+        pairs = [(h0, u[0]), (u[2], v[0]), (v[2], h1), (u[3], v[1]), (v[3], u[1])]
+    elif edges[0] == edges[1]:
+        (h0, h1) = edges[0]
+        if m.selector == "parallel":
+            pairs = [(h0, u[0]), (u[2], v[0]), (v[2], u[1]), (u[3], v[1]), (v[3], h1)]
+        else:
+            pairs = [(h0, u[0]), (u[2], v[0]), (v[2], v[1]), (v[3], u[1]), (u[3], h1)]
+    else:
+        (h1a, h1b), (h2a, h2b) = edges
+        pairs = [(h1a, u[0]), (u[2], v[0]), (v[2], h1b)]
+        if m.selector == "parallel":
+            pairs += [(h2a, u[1]), (u[3], v[1]), (v[3], h2b)]
+        else:
+            pairs += [(h2a, v[1]), (v[3], u[1]), (u[3], h2b)]
+    mate = _dict_mate(d)
+    for a, b in pairs:
+        mate[a], mate[b] = b, a
+    labels = tuple(sorted(d.labels + tuple(fresh)))
+    at = {x: i for i, x in enumerate(labels)}
+    flat = [0] * (4 * len(labels))
+    for (x, s), (y, t) in mate.items():
+        flat[4 * at[x] + s] = 4 * at[y] + t
+    return FramedDiagram(labels, flat, d.free_loops - len(set(loops)))
+
+
+def naive_bfs(start: CanonicalCode, target, max_vertices: int, max_depth: int) -> SearchReport:
+    """The bounded move search on labelled moves: ``find_all_moves`` and
+    ``apply_move`` on each class's framed graph, every child canonicalized
+    from its labelled Gauss code."""
+    parents: dict = {start: None}
+    frontier = [start]
+    depth = 0
+    min_seen = start.chord_count
+
+    def finish(found):
+        path = None
+        if found:
+            steps = []
+            cur = target
+            while parents[cur] is not None:
+                cur, desc = parents[cur]
+                steps.append(desc)
+            path = tuple(reversed(steps))
+        return SearchReport(start, target, max_vertices, max_depth, found, len(parents), min_seen, depth, path)
+
+    if target is not None and start == target:
+        return finish(True)
+    while frontier and depth < max_depth:
+        depth += 1
+        nxt = []
+        for can in frontier:
+            d = to_framed(can)
+            for m in find_all_moves(d, max_vertices):
+                child = canonicalize(from_framed(apply_move(d, m)))
+                if child in parents:
+                    continue
+                parents[child] = (can, f"{m.kind}@{m.vertices or m.sites}")
+                min_seen = min(min_seen, child.chord_count)
+                if target is not None and child == target:
+                    return finish(True)
+                nxt.append(child)
+        frontier = nxt
+    return finish(False if target is not None else None)
 
 
 @functools.lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from freeknot import analysis, moves
 from freeknot.analysis import (
     REALIZABLE_MAX_VERTICES,
     bfs_equivalent,
@@ -23,6 +24,7 @@ from freeknot.diagrams import (
     BudgetError,
     GaussCode,
     PreconditionError,
+    canonical_of,
     canonicalize,
     enumerate_codes,
     parse_gauss_code,
@@ -36,6 +38,7 @@ from freeknot.parity import (
     interlacement,
     source_sink_orientable,
 )
+from oracles import naive_bfs
 
 
 def code(t):
@@ -195,6 +198,65 @@ def test_explore_reports_min_vertices():
     assert r.reached is None
     assert r.min_vertices == 0  # the reduction to the bare circle is in range
     assert r.visited >= 2
+
+
+def test_explore_matches_the_labelled_search_oracle():
+    checked = 0
+    for n in range(5):
+        for k in (1, 2):
+            for can in enumerate_codes(n, k):
+                # and the class with one more free loop, for the loop sites
+                for c in (can, canonicalize(GaussCode(can.words, can.free_loops + 1))):
+                    assert explore_moves(c, n + 2, 2) == naive_bfs(c, None, n + 2, 2), str(c)
+                    checked += 1
+    assert checked > 150
+
+
+def test_bfs_matches_the_labelled_search_oracle_on_scrambles():
+    rng = random.Random(29)
+    reached = 0
+    for _ in range(50):
+        n = rng.randint(1, 5)
+        k = rng.randint(1, 2)
+        a = random_diagram(n, k, rng)
+        steps = rng.randint(1, 3)
+        b = random_moves(a, steps, n + 2, rng)
+        r = bfs_equivalent(b, a, n + 2, steps)
+        assert r == naive_bfs(canonical_of(b), canonical_of(a), n + 2, steps), (a, b)
+        reached += len(r.path) if r.reached else 0
+    assert reached > 40
+
+
+def test_the_search_labels_no_move_but_those_of_its_path(monkeypatch):
+    calls = {"_edge": 0, "MoveInstance": 0}
+    edge, init = moves._edge, moves.MoveInstance.__init__
+
+    def counting_edge(*args, **kwargs):
+        calls["_edge"] += 1
+        return edge(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["MoveInstance"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(moves, "_edge", counting_edge)
+    monkeypatch.setattr(moves.MoveInstance, "__init__", counting_init)
+    assert explore_moves(code("a b a c b c"), 6, 2).visited > 100
+    assert calls == {"_edge": 0, "MoveInstance": 0}
+    r = bfs_equivalent(code("a a b c c b"), code("O"), 3, 3)
+    assert r.reached and len(r.path) == 2
+    assert calls == {"_edge": 0, "MoveInstance": 2}
+
+
+def test_search_stops_at_its_visited_class_budget(monkeypatch):
+    visited = explore_moves(code("a b a c b c"), 5, 2).visited
+    monkeypatch.setattr(analysis, "SEARCH_MAX_VISITED", visited)
+    assert explore_moves(code("a b a c b c"), 5, 2).visited == visited
+    monkeypatch.setattr(analysis, "SEARCH_MAX_VISITED", visited - 1)
+    with pytest.raises(BudgetError, match=f"more than {visited - 1} classes"):
+        explore_moves(code("a b a c b c"), 5, 2)
+    with pytest.raises(BudgetError):
+        bfs_equivalent(code("a b a c b c"), code("a b c d a b c d"), 5, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pathlib
 import jsonschema
 import pytest
 
+from freeknot import analysis
 from freeknot.cli import main
 
 SCHEMA = json.loads(
@@ -235,6 +236,14 @@ def test_state_sum_budget_exit_code(capsys):
     status, out, err = run(capsys, "abracket", kinks)
     assert status == 3 and out == ""
     assert err == "error: 21 even crossings; state sums stop at 20\n"
+
+
+def test_search_budget_exit_code(capsys, monkeypatch):
+    # unbudgeted, this search visits 3 classes and misses its target (exit 3 too)
+    monkeypatch.setattr(analysis, "SEARCH_MAX_VISITED", 2)
+    status, out, err = run(capsys, "bfs", "a a", "a b a b c c", "--max-vertices", "2", "--max-depth", "1")
+    assert status == 3 and out == ""
+    assert err == "error: move search visited more than 2 classes\n"
 
 
 @pytest.mark.parametrize("text", ["a ² a ²", "é x é x"])

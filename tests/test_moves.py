@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from freeknot.analysis import load_fixture, random_diagram, random_moves
 from freeknot.diagrams import (
+    PAIRING_FLAT,
     CodeError,
     FramedDiagram,
     GaussCode,
@@ -14,9 +16,14 @@ from freeknot.diagrams import (
     enumerate_codes,
     from_framed,
     parse_gauss_code,
+    splice_out,
     to_framed,
 )
 from freeknot.moves import (
+    _apply,
+    _edge,
+    _labelled,
+    _moves,
     LOOP_SITE,
     LOOP_SITE_2,
     MoveInstance,
@@ -38,8 +45,10 @@ from freeknot.moves import (
 from oracles import (
     find_word_triangles,
     kink_delete,
+    naive_apply_move,
     naive_apply_r2_decrease,
     naive_apply_r3,
+    naive_find_all_moves,
     naive_reduce_r2,
     r3_rewiring,
     swap_adjacent_pairs,
@@ -222,6 +231,56 @@ def test_increases_on_every_small_class_relabelled_to_letters():
                 reordered += _check_increases_against_integer_copy(to_framed(_letter_copy(can.code(), letters)))
                 classes += 1
     assert classes > 100 and reordered > 1000
+
+
+def _check_integer_moves_against_the_labelled_oracles(d):
+    """The integer moves of ``d``, labelled, are the moves the labelled
+    oracle finds, in its order; the kernel's child of each, and the public
+    apply's, equal the oracle's in labels, matching and free loops.
+    Returns the number of moves of each kind."""
+    max_vertices = d.vertex_count + 2
+    moves = list(_moves(d, max_vertices))
+    labelled = [_labelled(d, move) for move in moves]
+    assert labelled == naive_find_all_moves(d, max_vertices) == find_all_moves(d, max_vertices)
+    for move, m in zip(moves, labelled):
+        child = _apply(d, move)
+        assert child == naive_apply_move(d, m) == apply_move(d, m), (from_framed(d), m)
+    return collections.Counter(m.kind for m in labelled)
+
+
+def test_integer_moves_match_the_labelled_oracles_on_every_small_class():
+    checked = collections.Counter()
+    for n in range(5):
+        for k in (1, 2, 3):
+            for can in enumerate_codes(n, k):
+                checked += _check_integer_moves_against_the_labelled_oracles(to_framed(can.code()))
+    assert min(checked.values()) > 150 and checked.total() > 20000, checked
+
+
+@pytest.mark.parametrize("text", [
+    "a z a w z w",
+    "x w0 y x y w0",
+    # the fresh ids w9, w10 sort after and before the last label w8
+    " ".join([f"w{i}" for i in range(9)] * 2),
+])
+def test_integer_moves_match_the_labelled_oracles_on_string_labels(text):
+    assert _check_integer_moves_against_the_labelled_oracles(framed(text)).total() > 50
+
+
+@pytest.mark.parametrize("text, absent", [
+    ("a b a b", ["c", "", 0, None, ("a",)]),
+    ("0 1 0 1", ["2", 2, -1, 0.5, None]),
+])
+def test_an_absent_or_incomparable_vertex_is_a_code_error(text, absent):
+    d = framed(text) if text[0].isalpha() else to_framed(GaussCode(((0, 1, 0, 1),)))
+    for v in absent:
+        with pytest.raises(CodeError, match="not in diagram"):
+            d.index(v)
+        with pytest.raises(CodeError, match="not in diagram"):
+            splice_out(d, {v: PAIRING_FLAT})
+        with pytest.raises(CodeError, match="not in diagram"):
+            _edge(d, ((v, 0), (d.labels[0], 1)))
+    assert [d.index(v) for v in d.labels] == [0, 1]
 
 
 # ---------------------------------------------------------------------------
