@@ -58,6 +58,8 @@ class FormalSum:
 
     def __post_init__(self, validate: bool):
         if validate:
+            if self.context not in (CTX_KNOT, CTX_LINK, CTX_LINK2):
+                raise CodeError(f"unknown context {self.context!r}")
             for t in self.terms:
                 _check_member(t, self.context)
 
@@ -86,13 +88,10 @@ def _check_member(t: CanonicalCode, context: str):
     if context == CTX_KNOT:
         if t.component_count != 1:
             raise CodeError(f"member {t} of a knot sum must have one component")
-    elif context in (CTX_LINK, CTX_LINK2):
-        if t.free_loops:
-            raise CodeError(f"member {t} contains a free loop")
-        if context == CTX_LINK2 and t.component_count != 2:
-            raise CodeError(f"member {t} must have two components")
-    else:
-        raise CodeError(f"unknown context {context!r}")
+    elif t.free_loops:
+        raise CodeError(f"member {t} contains a free loop")
+    elif context == CTX_LINK2 and t.component_count != 2:
+        raise CodeError(f"member {t} must have two components")
 
 
 def formal_sum(context: str, terms=()) -> FormalSum:

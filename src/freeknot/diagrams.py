@@ -15,9 +15,10 @@ of them:
   and a flat list pairs every half-edge with its mate.
 
 The traversal convention ties the forms together: a closed curve always
-leaves a vertex through the slot opposite to the one it entered.  Splices,
-smoothings and R2 reduction all remove a vertex by one in-place step on the
-matching, ``remove_vertex``.  Nothing is oriented or has over/under data.
+leaves a vertex through the slot opposite to the one it entered.  Three
+in-place steps on the matching do the work: ``remove_vertex`` removes a
+vertex, ``thread`` lays a strand through vertices and ``circles`` walks the
+strands.  Nothing is oriented or has over/under data.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class GaussCode(_WordCounts):
     def __post_init__(self, validate):
         if not validate:
             return
-        if self.free_loops < 0:
-            raise CodeError("free_loops must be non-negative")
+        if not isinstance(self.free_loops, int) or self.free_loops < 0:
+            raise CodeError("free_loops must be a non-negative int")
         counts: dict[Hashable, int] = {}
         for w in self.words:
             if len(w) == 0:
@@ -188,12 +189,15 @@ class FramedDiagram:
             self._check()
 
     def _check(self):
-        if self.free_loops < 0:
-            raise CodeError("free_loops must be non-negative")
+        if not isinstance(self.free_loops, int) or self.free_loops < 0:
+            raise CodeError("free_loops must be a non-negative int")
         if not (isinstance(self.labels, tuple) and isinstance(self.mate, list)):
             raise CodeError("labels must be a tuple and mate a list")
-        if any(a >= b for a, b in zip(self.labels, self.labels[1:])):
-            raise CodeError("vertex labels must be distinct and increasing")
+        try:
+            if any(a >= b for a, b in zip(self.labels, self.labels[1:])):
+                raise CodeError("vertex labels must be distinct and increasing")
+        except TypeError:
+            raise CodeError("vertex labels must compare with each other") from None
         n = len(self.mate)
         if n != 4 * len(self.labels):
             raise CodeError(f"{n} half-edges for {len(self.labels)} vertices; each vertex has slots 0..3")
@@ -248,7 +252,10 @@ def to_framed(code: GaussCode | CanonicalCode | FramedDiagram) -> FramedDiagram:
     if isinstance(code, FramedDiagram):
         return code
     code = as_code(code)
-    labels = tuple(sorted({lab for w in code.words for lab in w}))
+    try:
+        labels = tuple(sorted({lab for w in code.words for lab in w}))
+    except TypeError:
+        raise CodeError("chord labels must compare with each other") from None
     entry = {v: 4 * i for i, v in enumerate(labels)}
     mate = [0] * (4 * len(labels))
     for w in code.words:
@@ -256,11 +263,20 @@ def to_framed(code: GaussCode | CanonicalCode | FramedDiagram) -> FramedDiagram:
         for lab in w:
             passes.append(entry[lab])
             entry[lab] += 1
-        prev = passes[-1]
-        for h in passes:
-            mate[prev ^ 2], mate[h] = h, prev ^ 2
-            prev = h
+        thread(mate, passes)
     return FramedDiagram(labels, mate, code.free_loops, validate=False)
+
+
+def thread(mate: list, passes, ends=None) -> None:
+    """Lay a strand on an integer matching in place.  It enters each vertex
+    at its half-edge in ``passes`` and leaves through the opposite one, and
+    runs from half-edge ``ends[0]`` to ``ends[1]``, or closes on itself
+    when ``ends`` is None."""
+    a, b = (passes[-1] ^ 2, passes[0]) if ends is None else ends
+    for h in passes:
+        mate[a], mate[h] = h, a
+        a = h ^ 2
+    mate[a], mate[b] = b, a
 
 
 def circles(mate) -> list[list[int]]:
@@ -403,9 +419,7 @@ def canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
     map, components used); the same holds at every later depth.  States
     with equal label map and components used have the same continuations
     and are kept once.  Each walk is relabelled letter by letter against
-    the least word so far and dropped at its first larger label.  A
-    component whose letters are all labelled already takes the least of
-    its 2L slices at once.
+    the least word so far and dropped at its first larger label.
 
     The cache holds at most ``2**18`` entries.  An entry keeps its key
     code, its result and its cache link alive: about 760 bytes at the sizes
@@ -413,43 +427,25 @@ def canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
     reduced states of a state sum, so a full cache takes 190-220 MB."""
     code = as_code(code)
     k = len(code.words)
-    if k == 0:
-        return CanonicalCode((), code.free_loops)
     index: dict = {}
-    comps = []  # per component: length, doubled word, bit mask of its letters, walks
+    comps = []  # the walks of each component
     for w in code.words:
         iw = [index.setdefault(x, len(index)) for x in w]
         size, fw = len(iw), iw + iw
-        bw = fw[::-1]
-        mask = 0
-        for x in iw:
-            mask |= 1 << x
-        walks = [fw[s:s + size] for s in range(size)] + [bw[s:s + size] for s in range(size)]
-        comps.append((size, fw, mask, walks))
+        comps.append([seq[s:s + size] for seq in (fw, fw[::-1]) for s in range(size)])
     n = len(index)
     # a state: the label of each letter (-1 if none yet), the components
-    # used and the letters labelled (bit masks), the next label
-    states = [([-1] * n, 0, 0, 0)]
+    # used (a bit mask), the next label
+    states = [([-1] * n, 0, 0)]
     out = []
     for depth in range(k):
         last = depth == k - 1
         best = (n,)  # above every word
         ties: dict = {}
-        for lab, used, mapped, nxt in states:
-            for c, (size, fw, mask, walks) in enumerate(comps):
+        for lab, used, nxt in states:
+            for c, walks in enumerate(comps):
                 bit = 1 << c
                 if used & bit:
-                    continue
-                if not mask & ~mapped:
-                    # every walk keeps the label map: take the least slice
-                    f = [lab[x] for x in fw]
-                    word = tuple(min(seq[s:s + size] for seq in (f, f[::-1]) for s in range(size)))
-                    if word > best:
-                        continue
-                    if word < best:
-                        best, ties = word, {}
-                    if not last:
-                        ties.setdefault((used | bit, tuple(lab)), (lab, used | bit, mapped, nxt))
                     continue
                 bound = best + (-1,)  # a walk longer than best is larger
                 for walk in walks:
@@ -470,7 +466,7 @@ def canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
                             if not last:
                                 key = (used | bit, tuple(lab))
                                 if key not in ties:
-                                    ties[key] = (lab[:], used | bit, mapped | mask, nx)
+                                    ties[key] = (lab[:], used | bit, nx)
                             for x in fresh:
                                 lab[x] = -1
                             continue
@@ -485,7 +481,7 @@ def canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
                         bound = best + (-1,)
                         ties = {}
                         if not last:
-                            ties[used | bit, tuple(lab)] = (lab[:], used | bit, mapped | mask, nx)
+                            ties[used | bit, tuple(lab)] = (lab[:], used | bit, nx)
                     for x in fresh:
                         lab[x] = -1
         out.append(best)

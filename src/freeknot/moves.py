@@ -20,8 +20,9 @@ for free loop ``i``, and ``_apply`` is the one kernel that rewires them.
 The finders label these moves as ``MoveInstance``s of vertex names and
 ``(vertex, slot)`` half-edges; the public applies read each labelled site
 once into an integer edge, oriented from its named vertex, check it on
-``mate`` and call the kernel.  Increases append their fresh vertices, which
-move into label order only when a fresh id sorts before an old label.
+``mate`` and call the kernel.  Increases lay a strand along each site with
+``diagrams.thread``, through fresh vertices appended after the old ones,
+which move into label order only when a fresh id sorts before an old label.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .diagrams import (
     fresh_vertex_ids,
     renumber,
     splice_out_at,
+    thread,
     to_framed,
 )
 
@@ -208,11 +210,6 @@ def _moves(d: FramedDiagram, max_vertices: int):
 # The kernel
 
 
-def _link(mate: list, pairs):
-    for a, b in pairs:
-        mate[a], mate[b] = b, a
-
-
 def _grown(d: FramedDiagram, mate: list, free_loops: int, count: int) -> FramedDiagram:
     """``d`` grown to the matching ``mate``, whose last ``count`` vertices
     are new: they get fresh ids and are merged into label order.  Fresh
@@ -248,49 +245,26 @@ def _apply(d: FramedDiagram, move) -> FramedDiagram:
             mate[g] = y = hop.get(x, x)
             mate[y] = g
         # the slots the external ends vacate form the new triangle
-        _link(mate, [(h ^ 2, g ^ 2) for h, g in sites])
+        for h, g in sites:
+            mate[h ^ 2], mate[g ^ 2] = g ^ 2, h ^ 2
         return FramedDiagram(d.labels, mate, d.free_loops, validate=False)
-    # an increase appends its fresh vertices u (and v): old half-edges keep their numbers
+    # an increase appends its fresh vertices u (and v) and lays a strand
+    # through them along each site; old half-edges keep their numbers
     u = len(d.mate)
-    v = u + 4
-    (h0, h1), (k0, k1) = sites[0], sites[-1]
-    parallel = selector == PATTERN_PARALLEL
-    free = d.free_loops
-    if kind == R1_UP and h0 < 0:
-        free -= 1
-        pairs = [(u + 1, u + 2), (u + 3, u)]
-    elif kind == R1_UP:
-        pairs = [(h0, u), (u + 2, u + 1), (u + 3, h1)] if selector == 0 else [(h0, u), (u + 2, u + 3), (u + 1, h1)]
-    elif h0 < 0 and k0 < 0 and h0 == k0:
-        # one circle across itself: interlaced or nested double point pair
-        free -= 1
-        if parallel:
-            pairs = [(u + 2, v), (v + 2, u + 1), (u + 3, v + 1), (v + 3, u)]
-        else:
-            pairs = [(u + 2, v), (v + 2, v + 1), (v + 3, u + 1), (u + 3, u)]
-    elif h0 < 0 and k0 < 0:
-        free -= 2
-        pairs = [(u + 2, v), (v + 2, u), (u + 3, v + 1), (v + 3, u + 1)]
-    elif h0 < 0 or k0 < 0:
-        free -= 1
-        if h0 < 0:
-            h0, h1 = k0, k1
-        pairs = [(h0, u), (u + 2, v), (v + 2, h1), (u + 3, v + 1), (v + 3, u + 1)]
-    elif (h0, h1) == (k0, k1):
-        if parallel:
-            pairs = [(h0, u), (u + 2, v), (v + 2, u + 1), (u + 3, v + 1), (v + 3, h1)]
-        else:
-            pairs = [(h0, u), (u + 2, v), (v + 2, v + 1), (v + 3, u + 1), (u + 3, h1)]
+    if kind == R1_UP:
+        strands = [[u, u + 3] if selector and sites[0][0] >= 0 else [u, u + 1]]
     else:
-        pairs = [(h0, u), (u + 2, v), (v + 2, h1)]
-        if parallel:
-            pairs += [(k0, u + 1), (u + 3, v + 1), (v + 3, k1)]
-        else:
-            pairs += [(k0, v + 1), (v + 3, u + 1), (u + 3, k1)]
-    count = len(sites)  # one fresh vertex for R1+, two for R2+
-    mate = d.mate + [-1] * (4 * count)
-    _link(mate, pairs)
-    return _grown(d, mate, free, count)
+        v = u + 4
+        sites = sorted(sites, key=lambda e: e[0] < 0)  # an edge before a loop
+        second = [u + 1, v + 1] if selector == PATTERN_PARALLEL else [v + 1, u + 1]
+        strands = [[u, v] + second] if sites[0] == sites[1] else [[u, v], second]
+    mate = d.mate + [-1] * (4 * len(sites))  # one fresh vertex for R1+, two for R2+
+    free = d.free_loops
+    for site, passes in zip(sites, strands):  # equal sites lay one strand
+        if site[0] < 0:  # a free loop: the strand closes on itself
+            free, site = free - 1, None
+        thread(mate, passes, site)
+    return _grown(d, mate, free, len(sites))
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,8 @@ def test_formal_sum_rejects_wrong_context_members():
         formal_sum(CTX_LINK2, {canon("a a")})  # one component
     with pytest.raises(CodeError):
         formal_sum(CTX_KNOT, {canon("a b b a")})  # reducible
+    with pytest.raises(CodeError):
+        formal_sum("bogus")  # no such context, even with no terms
 
 
 def test_formal_sum_rejects_mixed_addition():

@@ -166,10 +166,24 @@ def test_framed_diagram_accepts_a_valid_matching():
     (["a"], [3, 2, 1, 0], 0, "a tuple and mate a list"),
     (("b", "a"), [3, 2, 1, 0, 7, 6, 5, 4], 0, "distinct and increasing"),
     (("a", "a"), [3, 2, 1, 0, 7, 6, 5, 4], 0, "distinct and increasing"),
+    (("a", 1), [3, 2, 1, 0, 7, 6, 5, 4], 0, "must compare"),
+    ((), [], 1.5, "non-negative int"),
 ])
 def test_framed_diagram_rejects_invalid_input(labels, mate, loops, match):
     with pytest.raises(CodeError, match=match):
         FramedDiagram(labels, mate, loops)
+
+
+@pytest.mark.parametrize("words, loops, match", [
+    ((), -1, "non-negative"),
+    ((("a", "a"),), 1.5, "non-negative int"),
+    (((),), 0, "empty component"),
+    ((("a", "b", "a"),), 0, "exactly twice"),
+    (((1, "a", 1, "a"),), 0, "must compare"),
+])
+def test_gauss_code_rejects_invalid_input(words, loops, match):
+    with pytest.raises(CodeError, match=match):
+        to_framed(GaussCode(words, loops))
 
 
 def _small_framed_diagrams():

@@ -15,3 +15,5 @@ def test_traced_functions_exist(repo_root):
     for name in layertrace.TRACED_NAMES:
         module, fn = name.split(".")
         assert callable(getattr(importlib.import_module(f"freeknot.{module}"), fn, None)), name
+    # ``perfbench/run.py::cache_counts`` reads the cache in every run, traced or not
+    assert callable(getattr(importlib.import_module("freeknot.diagrams").canonicalize, "cache_info", None))
