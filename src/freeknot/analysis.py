@@ -10,6 +10,7 @@ diagram's own crossing number certifies minimality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .diagrams import (
     parse_gauss_code,
     to_framed,
 )
-from .moves import _apply, _labelled, _moves, find_r2
+from .moves import R1_UP, _apply, _labelled, _moves, find_r2
 from .parity import (
     InterlacementGraph,
     component_parity,
@@ -49,10 +50,12 @@ from .parity import (
 REALIZABLE_MAX_VERTICES = 8
 
 #: a move search raises ``BudgetError`` once it has visited more classes
-#: than this.  A visited class keeps about 560 bytes alive: its canonical
-#: code (about 290) and its parent link and move (about 270, measured with
-#: tracemalloc on ``explore_moves("a b c a b c", 7, 4)``, 3,211 classes).
-#: So 2**18 classes take about 150 MB, besides canonicalize's own cache.
+#: than this.  A visited class keeps about 370 bytes alive: its canonical
+#: code (about 290) and its parent link and frontier slot (75-87, measured
+#: with tracemalloc and warm caches on ``explore_moves("a b c a b c", 7, 4)``
+#: and ``("a b a c b c", 7, 3)``, 3,211 and 2,804 classes).  So 2**18
+#: classes take about 100 MB, besides canonicalize's cache and the memo of
+#: ``_children``.
 SEARCH_MAX_VISITED = 1 << 18
 
 
@@ -256,11 +259,40 @@ class SearchReport:
     path: tuple[str, ...] | None
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _children(can: CanonicalCode, max_vertices: int) -> tuple[CanonicalCode, ...]:
+    """The distinct classes one move away from ``can`` within
+    ``max_vertices``, in the order their first move comes in ``_moves``.
+
+    Memoized, as a search meets the same class again and again, in one run
+    and across runs.  An R1+ kink on side 1 is skipped: its child is side
+    0's on the same site, which comes just before it.
+
+    Memory: at most 2**16 entries.  An entry holds only references to
+    canonical codes, about 186 + 8k bytes for k children (tracemalloc), and
+    k is at most the class's move count, about 4n**2 at n crossings when
+    increases fit the bound.  On the search benchmark k is 6.2 on average
+    and at most 211, so a full memo takes about 15 MB, and 125 MB if every
+    entry had 211 children.  The codes are shared with canonicalize's
+    cache; one that cache has evicted stays alive here, at about 290 bytes."""
+    d = to_framed(can)
+    return tuple(dict.fromkeys(
+        canonical_of(_apply(d, m)) for m in _moves(d, max_vertices) if m[0] != R1_UP or not m[2]
+    ))
+
+
 def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, max_depth: int) -> SearchReport:
-    """Breadth-first search over classes by the integer moves of each class's
-    framed graph, whose labels are ``0..n-1``.  Each class keeps its parent
-    and the move that reached it; only the moves on the path to a reached
-    target are labelled.  Budget: ``SEARCH_MAX_VISITED`` classes."""
+    """Breadth-first search over classes by their memoized ``_children``.
+    Each class keeps only its parent.  A reached target's path is rebuilt
+    step by step: the move of a step is the first move of the parent's
+    framed graph (labels ``0..n-1``) whose child is the step's class, which
+    is the move that first reached it, and only these moves are labelled.
+    Budget: ``SEARCH_MAX_VISITED`` classes."""
+    for name, bound in (("max_vertices", max_vertices), ("max_depth", max_depth)):
+        if not isinstance(bound, int):
+            raise PreconditionError(f"{name} must be an int, got {bound!r}")
+    if max_depth < 0:
+        raise PreconditionError(f"max_depth must be non-negative, got {max_depth}")
     limit = SEARCH_MAX_VISITED
     parents: dict = {start: None}
     frontier = [start]
@@ -272,11 +304,13 @@ def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, 
         path = None
         if found:
             steps = []
-            cur = target
-            while parents[cur] is not None:
-                cur, move = parents[cur]
-                m = _labelled(to_framed(cur), move)
+            child = target
+            while (parent := parents[child]) is not None:
+                d = to_framed(parent)
+                move = next(m for m in _moves(d, max_vertices) if canonical_of(_apply(d, m)) == child)
+                m = _labelled(d, move)
                 steps.append(f"{m.kind}@{m.vertices or m.sites}")
+                child = parent
             path = tuple(reversed(steps))
         return SearchReport(
             start, target, max_vertices, max_depth, found,
@@ -289,12 +323,10 @@ def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, 
         depth += 1
         nxt = []
         for can in frontier:
-            d = to_framed(can)
-            for move in _moves(d, max_vertices):
-                child = canonical_of(_apply(d, move))
+            for child in _children(can, max_vertices):
                 if child in parents:
                     continue
-                parents[child] = (can, move)
+                parents[child] = can
                 min_seen = min(min_seen, child.chord_count)
                 if target is not None and child == target:
                     return finish(True)
@@ -307,7 +339,7 @@ def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, 
 
 def bfs_equivalent(a, b, max_vertices: int, max_depth: int) -> SearchReport:
     """Bounded reachability between two codes; can certify equivalence but
-    never inequivalence."""
+    never inequivalence.  The bounds must be ints, ``max_depth`` >= 0."""
     ca, cb = canonical_of(a), canonical_of(b)
     if ca.component_count != cb.component_count:
         raise PreconditionError("codes with different component counts are never equivalent")
@@ -315,7 +347,8 @@ def bfs_equivalent(a, b, max_vertices: int, max_depth: int) -> SearchReport:
 
 
 def explore_moves(a, max_vertices: int, max_depth: int) -> SearchReport:
-    """Full bounded sweep from one code (no target)."""
+    """Full bounded sweep from one code (no target).  The bounds must be
+    ints, ``max_depth`` >= 0."""
     return _bfs(canonical_of(a), None, max_vertices, max_depth)
 
 

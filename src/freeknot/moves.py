@@ -411,9 +411,10 @@ def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Rand
 def neighbors(d: FramedDiagram, allow_increase: int = 0) -> list[FramedDiagram]:
     """Every result of a single move, increases admitted while the vertex
     count stays within ``current + allow_increase``; deduplicated by
-    canonical code and sorted by it.  The search walks classes on its own
-    loop; this one-step neighbourhood is kept as public API, and the
-    acceptance tests check it."""
+    canonical code and sorted by it.  The search does not call it: it keeps
+    only the child classes, memoized in ``analysis._children``, with no
+    framed graph.  This one-step neighbourhood is kept as public API, and
+    the acceptance tests check it."""
     results: dict[CanonicalCode, FramedDiagram] = {}
     for move in _moves(d, d.vertex_count + allow_increase):
         if move[0] == R1_UP and move[2] == 1:

@@ -200,31 +200,68 @@ def test_explore_reports_min_vertices():
     assert r.visited >= 2
 
 
-def test_explore_matches_the_labelled_search_oracle():
+def test_the_mirror_kink_gives_the_class_of_side_0():
     checked = 0
     for n in range(5):
         for k in (1, 2):
             for can in enumerate_codes(n, k):
-                # and the class with one more free loop, for the loop sites
-                for c in (can, canonicalize(GaussCode(can.words, can.free_loops + 1))):
-                    assert explore_moves(c, n + 2, 2) == naive_bfs(c, None, n + 2, 2), str(c)
-                    checked += 1
-    assert checked > 150
+                for loops in (0, 1):
+                    d = to_framed(GaussCode(can.words, can.free_loops + loops))
+                    for site in ((h, g) for h, g in enumerate(d.mate) if h < g):
+                        sides = (canonical_of(moves._apply(d, (moves.R1_UP, (site,), side))) for side in (0, 1))
+                        assert len(set(sides)) == 1, (str(can), site)
+                        checked += 1
+                    # so skipping side 1 loses no child
+                    everything = (canonical_of(moves._apply(d, m)) for m in moves._moves(d, n + 2))
+                    assert analysis._children(canonical_of(d), n + 2) == tuple(dict.fromkeys(everything))
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("search", ["explore", "bfs"])
+@pytest.mark.parametrize("max_vertices, max_depth", [
+    (2.5, 1), (2, 1.0), ("3", 1), (None, 1), (2, None), (2, -1), (2, -2),
+])
+def test_search_bounds_must_be_ints_and_the_depth_non_negative(search, max_vertices, max_depth):
+    with pytest.raises(PreconditionError):
+        if search == "explore":
+            explore_moves(code("a b a b"), max_vertices, max_depth)
+        else:
+            bfs_equivalent(code("a b a b"), code("O"), max_vertices, max_depth)
+
+
+def test_explore_matches_the_labelled_search_oracle():
+    analysis._children.cache_clear()
+    for memo in ("cold", "warm"):
+        checked = 0
+        for n in range(5):
+            for k in (1, 2):
+                for can in enumerate_codes(n, k):
+                    # and the class with one more free loop, for the loop sites
+                    for c in (can, canonicalize(GaussCode(can.words, can.free_loops + 1))):
+                        assert explore_moves(c, n + 2, 2) == naive_bfs(c, None, n + 2, 2), (memo, str(c))
+                        checked += 1
+        assert checked > 150
+    info = analysis._children.cache_info()
+    assert info.hits >= checked and info.maxsize == 1 << 16
 
 
 def test_bfs_matches_the_labelled_search_oracle_on_scrambles():
     rng = random.Random(29)
-    reached = 0
+    scrambles = []
     for _ in range(50):
         n = rng.randint(1, 5)
         k = rng.randint(1, 2)
         a = random_diagram(n, k, rng)
         steps = rng.randint(1, 3)
-        b = random_moves(a, steps, n + 2, rng)
-        r = bfs_equivalent(b, a, n + 2, steps)
-        assert r == naive_bfs(canonical_of(b), canonical_of(a), n + 2, steps), (a, b)
-        reached += len(r.path) if r.reached else 0
-    assert reached > 40
+        scrambles.append((a, random_moves(a, steps, n + 2, rng), n + 2, steps))
+    analysis._children.cache_clear()
+    for _ in ("cold", "warm"):
+        reached = 0
+        for a, b, max_vertices, steps in scrambles:
+            r = bfs_equivalent(b, a, max_vertices, steps)
+            assert r == naive_bfs(canonical_of(b), canonical_of(a), max_vertices, steps), (a, b)
+            reached += len(r.path) if r.reached else 0
+        assert reached > 40
 
 
 def test_the_search_labels_no_move_but_those_of_its_path(monkeypatch):
@@ -243,9 +280,11 @@ def test_the_search_labels_no_move_but_those_of_its_path(monkeypatch):
     monkeypatch.setattr(moves.MoveInstance, "__init__", counting_init)
     assert explore_moves(code("a b a c b c"), 6, 2).visited > 100
     assert calls == {"_edge": 0, "MoveInstance": 0}
-    r = bfs_equivalent(code("a a b c c b"), code("O"), 3, 3)
-    assert r.reached and len(r.path) == 2
-    assert calls == {"_edge": 0, "MoveInstance": 2}
+    analysis._children.cache_clear()
+    for instances in (2, 4):  # once with the memo cold, once warm
+        r = bfs_equivalent(code("a a b c c b"), code("O"), 3, 3)
+        assert r.reached and len(r.path) == 2
+        assert calls == {"_edge": 0, "MoveInstance": instances}
 
 
 def test_search_stops_at_its_visited_class_budget(monkeypatch):

@@ -129,6 +129,13 @@ def test_bfs_output_and_exit_codes(capsys):
     run_json(capsys, "bfs", "a b a b", "O", "--max-vertices", "4", "--max-depth", "2")
 
 
+@pytest.mark.parametrize("depth", ["-1", "-2"])
+def test_bfs_negative_depth_is_a_precondition_error(capsys, depth):
+    status, out, err = run(capsys, "bfs", "a b a b", "O", "--max-vertices", "4", "--max-depth", depth)
+    assert status == 2 and out == ""
+    assert err == f"error: max_depth must be non-negative, got {depth}\n"
+
+
 def test_enumerate_output(capsys):
     status, out, _ = run(capsys, "enumerate", "2", "1")
     assert status == 0 and out.splitlines() == ["a a b b", "a b a b"]
