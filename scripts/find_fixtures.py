@@ -11,13 +11,28 @@ Usage: python scripts/find_fixtures.py [--all]
 """
 
 import argparse
+import itertools
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from freeknot.analysis import search_minimal_fixtures  # noqa: E402
-from freeknot.diagrams import canonicalize, render_gauss_code  # noqa: E402
+from freeknot.brackets import split_smoothing  # noqa: E402
+from freeknot.diagrams import (  # noqa: E402
+    GaussCode,
+    canonicalize,
+    component_count,
+    from_framed,
+    render_gauss_code,
+    to_framed,
+)
+from freeknot.moves import find_r2  # noqa: E402
+from freeknot.parity import (  # noqa: E402
+    component_parity,
+    gaussian_parity,
+    interlacement,
+    source_sink_orientable,
+)
 
 HEADER_K1 = """\
 # Minimal 9-crossing one-component fixture.
@@ -36,6 +51,54 @@ HEADER_L1 = """\
 # diagram is R2-irreducible and source-sink orientable.
 # Regenerate with scripts/find_fixtures.py.
 """
+
+
+def search_minimal_fixtures(limit: int | None = 1) -> list[tuple[GaussCode, GaussCode]]:
+    """Scan the 8! normal forms ``x 1..8 x <permutation>`` for one-component
+    9-chord diagrams satisfying:
+
+    * every chord Gaussian-even, diagram R2-irreducible,
+    * exactly one chord interlaced with all eight others,
+    * the two-component split at that chord 8-vertex, R2-irreducible,
+      all crossings inter-component, and source-sink orientable.
+
+    Returns (knot diagram, its split) pairs; the prefilter keeps only
+    permutations whose same-order pair counts are odd per chord (evenness)
+    and below seven (unique hub).  It is the reproducible source of the
+    shipped ``k1``/``l1`` fixtures, and the acceptance tests rerun it."""
+    out: list[tuple[GaussCode, GaussCode]] = []
+    for pi in itertools.permutations(range(1, 9)):
+        pos = {v: i for i, v in enumerate(pi)}
+        ok = True
+        for i in range(1, 9):
+            deg = sum(1 for j in range(1, 9) if i != j and ((i < j) == (pos[i] < pos[j])))
+            if deg % 2 == 0 or deg == 7:
+                ok = False
+                break
+        if not ok:
+            continue
+        word = (0,) + tuple(range(1, 9)) + (0,) + pi
+        code = GaussCode((word,))
+        k1 = to_framed(code)
+        if find_r2(k1):
+            continue
+        if gaussian_parity(code).odd:
+            continue
+        g = interlacement(code)
+        if [v for v in g.vertices if g.degree(v) == 8] != [0]:
+            continue
+        l1 = split_smoothing(k1, 0)
+        if l1.vertex_count != 8 or component_count(l1) != 2 or find_r2(l1):
+            continue
+        l1_code = from_framed(l1)
+        if not component_parity(l1_code).all_odd():
+            continue
+        if not source_sink_orientable(l1):
+            continue
+        out.append((code, l1_code))
+        if limit is not None and len(out) >= limit:
+            break
+    return out
 
 
 def main() -> int:

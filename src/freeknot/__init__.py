@@ -18,7 +18,6 @@ from .analysis import (
     random_diagram,
     random_moves,
     realizable,
-    search_minimal_fixtures,
 )
 from .brackets import (
     FormalSum,

@@ -11,17 +11,11 @@ diagram's own crossing number certifies minimality.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from importlib import resources
 
-from .brackets import (
-    alex_bracket,
-    kauffman_bracket,
-    kdelta,
-    split_smoothing,
-)
+from .brackets import alex_bracket, kauffman_bracket, kdelta
 from .diagrams import (
     BudgetError,
     CanonicalCode,
@@ -33,19 +27,12 @@ from .diagrams import (
     canonical_of,
     canonicalize,
     code_lines,
-    component_count,
     from_framed,
     parse_gauss_code,
     to_framed,
 )
-from .moves import R1_UP, _apply, _labelled, _moves, find_r2
-from .parity import (
-    InterlacementGraph,
-    component_parity,
-    gaussian_parity,
-    interlacement,
-    source_sink_orientable,
-)
+from .moves import R1_UP, _apply, _labelled, _moves
+from .parity import InterlacementGraph, interlacement
 
 REALIZABLE_MAX_VERTICES = 8
 
@@ -387,60 +374,6 @@ def random_moves(code, count: int, max_vertices: int, seed) -> GaussCode:
             break
         d = _apply(d, rng.choice(moves))
     return from_framed(d)
-
-
-# ---------------------------------------------------------------------------
-# Fixture search: a minimal 9-crossing knot diagram and its 8-crossing
-# two-component split
-
-
-def search_minimal_fixtures(limit: int | None = 1) -> list[tuple[GaussCode, GaussCode]]:
-    """Scan the 8! normal forms ``x 1..8 x <permutation>`` for one-component
-    9-chord diagrams satisfying:
-
-    * every chord Gaussian-even, diagram R2-irreducible,
-    * exactly one chord interlaced with all eight others,
-    * the two-component split at that chord 8-vertex, R2-irreducible,
-      all crossings inter-component, and source-sink orientable.
-
-    Returns (knot diagram, its split) pairs; the prefilter keeps only
-    permutations whose same-order pair counts are odd per chord (evenness)
-    and below seven (unique hub).  It is kept in the library as the
-    reproducible source of the shipped ``k1``/``l1`` fixtures: the
-    acceptance tests rerun it, and ``scripts/find_fixtures.py`` wraps it."""
-    out: list[tuple[GaussCode, GaussCode]] = []
-    for pi in itertools.permutations(range(1, 9)):
-        pos = {v: i for i, v in enumerate(pi)}
-        ok = True
-        for i in range(1, 9):
-            deg = sum(1 for j in range(1, 9) if i != j and ((i < j) == (pos[i] < pos[j])))
-            if deg % 2 == 0 or deg == 7:
-                ok = False
-                break
-        if not ok:
-            continue
-        word = (0,) + tuple(range(1, 9)) + (0,) + pi
-        code = GaussCode((word,))
-        k1 = to_framed(code)
-        if find_r2(k1):
-            continue
-        if gaussian_parity(code).odd:
-            continue
-        g = interlacement(code)
-        if [v for v in g.vertices if g.degree(v) == 8] != [0]:
-            continue
-        l1 = split_smoothing(k1, 0)
-        if l1.vertex_count != 8 or component_count(l1) != 2 or find_r2(l1):
-            continue
-        l1_code = from_framed(l1)
-        if not component_parity(l1_code).all_odd():
-            continue
-        if not source_sink_orientable(l1):
-            continue
-        out.append((code, l1_code))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
 
 
 def load_fixture(name: str) -> GaussCode:

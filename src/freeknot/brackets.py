@@ -50,7 +50,9 @@ STATE_SUM_MAX_EVENS = 20
 @dataclass(frozen=True)
 class FormalSum:
     """GF(2) combination of canonical reduced diagrams: membership in
-    ``terms`` is coefficient 1, addition is symmetric difference."""
+    ``terms`` is coefficient 1, addition is symmetric difference.
+    ``validate=False`` skips the member checks; the invariants pass it, as
+    their terms are ``reduce_r2`` outputs already filtered for the context."""
 
     terms: frozenset
     context: str
@@ -169,7 +171,7 @@ def delta(code) -> FormalSum:
         if saw:
             continue
         support ^= {reduced}
-    return formal_sum(CTX_LINK2, support)
+    return FormalSum(frozenset(support), CTX_LINK2, validate=False)
 
 
 def _smoothings(mate: list, evens: range, loops: int, max_loops: int):
@@ -233,7 +235,7 @@ def alex_bracket(code) -> FormalSum:
     par = gaussian_parity(d)
     evens = sorted((v for v in d.vertices() if not par.is_odd(v)), key=str)
     support = _state_sum(d, evens, knot=True)
-    return formal_sum(CTX_KNOT, support)
+    return FormalSum(frozenset(support), CTX_KNOT, validate=False)
 
 
 def kauffman_bracket(code) -> FormalSum:
@@ -244,7 +246,7 @@ def kauffman_bracket(code) -> FormalSum:
     par = component_parity(d)
     evens = sorted((v for v in d.vertices() if not par.is_odd(v)), key=str)
     support = _state_sum(d, evens, knot=False)
-    return formal_sum(CTX_LINK, support)
+    return FormalSum(frozenset(support), CTX_LINK, validate=False)
 
 
 def kdelta(code) -> FormalSum:

@@ -152,14 +152,19 @@ def _kinks(mate: list):
                 break
 
 
-def _bigons_of(by_pair: dict):
+def _bigons(mate: list):
     """R2-: vertex pairs joined by two edges occupying non-opposite slots
-    at both ends."""
-    for _, edges in sorted(by_pair.items()):
-        for k, (h1, g1) in enumerate(edges):
-            for h2, g2 in edges[k + 1:]:
-                if h1 ^ h2 != 2 and g1 ^ g2 != 2:
-                    yield R2_DOWN, ((h1, g1), (h2, g2)), None
+    at both ends, by lower vertex, then upper vertex, then the slot pair at
+    the lower vertex in the order (0, 1), (0, 3), (1, 2), (2, 3)."""
+    for h in range(0, len(mate), 4):
+        hits = ()  # grown only on a hit: most vertices have no bigon
+        for s, t in ((0, 1), (0, 3), (1, 2), (2, 3)):
+            a, b = mate[h + s], mate[h + t]
+            if a >> 2 == b >> 2 > h >> 2 and a ^ b != 2:
+                hits += ((a >> 2, (h + s, a), (h + t, b)),)
+        if hits:
+            for _, e1, e2 in sorted(hits):
+                yield R2_DOWN, (e1, e2), None
 
 
 def _triangles(by_pair: dict, vertex_count: int):
@@ -201,7 +206,7 @@ def _moves(d: FramedDiagram, max_vertices: int):
     integer move: R1-, R2-, R3, R1+, R2+, each kind in scan order."""
     by_pair = _edges_between(d)
     yield from _kinks(d.mate)
-    yield from _bigons_of(by_pair)
+    yield from _bigons(d.mate)
     yield from _triangles(by_pair, d.vertex_count)
     yield from _increases(d, max_vertices)
 
@@ -280,7 +285,7 @@ def find_r1(d: FramedDiagram) -> list[MoveInstance]:
 def find_r2(d: FramedDiagram) -> list[MoveInstance]:
     """Bigons: unordered vertex pairs joined by two edges occupying
     non-opposite slots at both ends."""
-    return [_labelled(d, m) for m in _bigons_of(_edges_between(d))]
+    return [_labelled(d, m) for m in _bigons(d.mate)]
 
 
 def find_r3(d: FramedDiagram) -> list[MoveInstance]:
@@ -376,21 +381,6 @@ def apply_move(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     raise CodeError(f"unknown move kind {m.kind!r}")
 
 
-def _bigons(mate: list, first_only: bool) -> list:
-    """Bigons of an integer matching as vertex pairs ``(i, j)`` joined by two
-    edges at adjacent slots of both, in scan order: one entry per end and
-    edge pair, so a bigon may repeat.  ``first_only`` stops at the first."""
-    out = []
-    for i in range(len(mate) // 4):
-        for s in range(4):
-            a, b = mate[4 * i + s], mate[4 * i + (s + 1) % 4]
-            if a >> 2 == b >> 2 != i and (a ^ b) & 1:
-                out.append((i, a >> 2))
-                if first_only:
-                    return out
-    return out
-
-
 def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Random | None = None):
     """Apply decreasing R2 moves until none is possible.
 
@@ -400,11 +390,12 @@ def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Rand
     move splices out the two vertices of a bigon with the flat re-pairing,
     continuing both strands straight through.  The result is
     independent of the reduction order (tested, not assumed); the default
-    order takes the first bigon in scan order, ``_rng`` picks among all."""
+    order takes the first bigon ``_bigons`` gives, ``_rng`` picks among all."""
     d = to_framed(code)
-    while bigons := _bigons(d.mate, _rng is None):
-        pair = bigons[0] if _rng is None else _rng.choice(bigons)
-        d = splice_out_at(d, dict.fromkeys(pair, PAIRING_FLAT))
+    while move := next(_bigons(d.mate), None):
+        if _rng is not None:
+            move = _rng.choice(list(_bigons(d.mate)))
+        d = _apply(d, move)
     return canonical_of(d), d.free_loops > 0
 
 

@@ -31,9 +31,6 @@ class InterlacementGraph:
     vertices: tuple
     edges: frozenset  # of 2-element frozensets
 
-    def adjacent(self, x, y) -> bool:
-        return frozenset((x, y)) in self.edges
-
     def degree(self, x) -> int:
         return sum(1 for e in self.edges if x in e)
 

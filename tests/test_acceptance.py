@@ -29,7 +29,6 @@ from freeknot.analysis import (
     random_diagram,
     random_moves,
     realizable,
-    search_minimal_fixtures,
 )
 from freeknot.brackets import (
     alex_bracket,
@@ -73,6 +72,7 @@ from freeknot.parity import (
     is_irreducibly_odd,
     source_sink_orientable,
 )
+from find_fixtures import search_minimal_fixtures
 from oracles import brute_canonical, descent_closure, kink_delete, uncancelled_terms, word_smooth
 
 

@@ -17,7 +17,6 @@ from freeknot.analysis import (
     random_diagram,
     random_moves,
     realizable,
-    search_minimal_fixtures,
 )
 from freeknot.brackets import kauffman_bracket
 from freeknot.diagrams import (
@@ -38,6 +37,7 @@ from freeknot.parity import (
     interlacement,
     source_sink_orientable,
 )
+from find_fixtures import search_minimal_fixtures
 from oracles import naive_bfs
 
 

@@ -280,14 +280,21 @@ def test_kdelta_is_kauffman_over_delta_terms():
 
 
 def test_all_outputs_pass_context_checks_on_random_diagrams():
+    # the invariants build their sums unchecked; formal_sum checks every member
     rng = random.Random(5)
+    knots, links = [], []
     for _ in range(25):
         n = rng.randint(0, 5)
-        c1 = random_diagram(n, 1, rng)
-        delta(c1), alex_bracket(c1), kdelta(c1)  # constructors validate
+        knots.append(random_diagram(n, 1, rng))
         if n >= 1:
-            c2 = random_diagram(n, 2, rng)
-            kauffman_bracket(c2)
+            links.append(random_diagram(n, 2, rng))
+    knots += [can.code() for n in range(5) for can in enumerate_codes(n, 1)]
+    links += [can.code() for n in range(5) for can in enumerate_codes(n, 2)]
+    sums = [f(c) for c in knots for f in (delta, alex_bracket, kdelta)]
+    sums += [kauffman_bracket(c) for c in links]
+    for s in sums:
+        assert formal_sum(s.context, s.terms) == s
+    assert sum(len(s.terms) for s in sums) > 100
 
 
 def test_move_invariance_smoke():
