@@ -22,13 +22,13 @@ from .diagrams import (
     CodeError,
     GaussCode,
     PreconditionError,
-    _matching_to_words,
     as_code,
     canonical_of,
     canonicalize,
     code_lines,
     from_framed,
     parse_gauss_code,
+    require_ints,
     to_framed,
 )
 from .moves import R1_UP, _apply, _labelled, _moves
@@ -156,14 +156,7 @@ def graphs_isomorphic(g1: InterlacementGraph, g2: InterlacementGraph) -> bool:
             return True
         v = order[i]
         for w in candidates[v]:
-            if w in used:
-                continue
-            ok = True
-            for prev, pw in assign.items():
-                if (prev in n1[v]) != (pw in n2[w]):
-                    ok = False
-                    break
-            if ok:
+            if w not in used and all((p in n1[v]) == (pw in n2[w]) for p, pw in assign.items()):
                 assign[v] = w
                 used.add(w)
                 if place(i + 1):
@@ -275,9 +268,7 @@ def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, 
     framed graph (labels ``0..n-1``) whose child is the step's class, which
     is the move that first reached it, and only these moves are labelled.
     Budget: ``SEARCH_MAX_VISITED`` classes."""
-    for name, bound in (("max_vertices", max_vertices), ("max_depth", max_depth)):
-        if not isinstance(bound, int):
-            raise PreconditionError(f"{name} must be an int, got {bound!r}")
+    require_ints(max_vertices=max_vertices, max_depth=max_depth)
     if max_depth < 0:
         raise PreconditionError(f"max_depth must be non-negative, got {max_depth}")
     limit = SEARCH_MAX_VISITED
@@ -347,8 +338,9 @@ def random_diagram(n: int, k: int, seed) -> GaussCode:
     """Uniform over raw double-occurrence word arrangements with ``n``
     chords and ``k`` components: a uniform ordered composition of 2n into k
     positive word lengths plus a uniform perfect matching of positions.
-    ``n = 0`` yields ``k`` free loops."""
+    ``n = 0`` yields ``k`` free loops.  The sizes must be ints."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    require_ints(n=n, k=k)
     if n < 0 or k < 0:
         raise PreconditionError("n and k must be non-negative")
     if n == 0:
@@ -356,17 +348,23 @@ def random_diagram(n: int, k: int, seed) -> GaussCode:
     if not 1 <= k <= 2 * n:
         raise PreconditionError(f"no {k}-component arrangement of {n} chords exists")
     cuts = sorted(rng.sample(range(1, 2 * n), k - 1))
-    lengths = tuple(b - a for a, b in zip([0] + cuts, cuts + [2 * n]))
     free = list(range(2 * n))
-    # pair the first free position with a uniform other one
-    matching = [(free.pop(0), free.pop(rng.randrange(len(free)))) for _ in range(n)]
-    return GaussCode(_matching_to_words(matching, lengths))
+    word = [0] * (2 * n)
+    # chord i: the first free position and a uniform other one (first-occurrence labels)
+    for i in range(n):
+        word[free.pop(0)] = i
+        word[free.pop(rng.randrange(len(free)))] = i
+    return GaussCode(tuple(tuple(word[a:b]) for a, b in zip([0] + cuts, cuts + [2 * n])))
 
 
 def random_moves(code, count: int, max_vertices: int, seed) -> GaussCode:
     """Apply ``count`` uniformly chosen applicable moves under the vertex
-    budget; stops early only if no move applies."""
+    budget; stops early only if no move applies.  Both must be ints, ``count``
+    non-negative."""
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    require_ints(count=count, max_vertices=max_vertices)
+    if count < 0:
+        raise PreconditionError(f"count must be non-negative, got {count}")
     d = to_framed(code)
     for _ in range(count):
         moves = list(_moves(d, max_vertices))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 from dataclasses import InitVar, dataclass
 from typing import Hashable, Iterator
 
@@ -41,6 +40,13 @@ class PreconditionError(ValueError):
 
 class BudgetError(ValueError):
     """Raised when an input exceeds a hard brute-force size bound."""
+
+
+def require_ints(**values) -> None:
+    """Raise ``PreconditionError`` unless every named value is an int."""
+    for name, v in values.items():
+        if not isinstance(v, int):
+            raise PreconditionError(f"{name} must be an int, got {v!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +96,7 @@ class GaussCode(_WordCounts):
             raise CodeError(f"every chord label must occur exactly twice: {detail}")
 
     def labels(self) -> list:
-        seen = []
-        found = set()
-        for w in self.words:
-            for lab in w:
-                if lab not in found:
-                    found.add(lab)
-                    seen.append(lab)
-        return seen
+        return list(dict.fromkeys(lab for w in self.words for lab in w))
 
 
 def code_lines(text: str) -> list[str]:
@@ -503,75 +502,38 @@ def canonical_of(d: GaussCode | CanonicalCode | FramedDiagram) -> CanonicalCode:
 # Exhaustive enumeration of small diagrams
 
 
-def _perfect_matchings(items: tuple) -> Iterator[tuple]:
-    if not items:
-        yield ()
-        return
-    a = items[0]
-    for j in range(1, len(items)):
-        b = items[j]
-        rest = items[1:j] + items[j + 1:]
-        for m in _perfect_matchings(rest):
-            yield ((a, b),) + m
+def _grow(c: CanonicalCode) -> Iterator[GaussCode]:
+    """Every code made by adding chord ``n`` to the n-chord class ``c``, its
+    two ends at an unordered pair of gaps.  A word of length m has m gaps, a
+    free loop is a word with one gap, and as loops are interchangeable, two
+    of them stand for all."""
+    x = c.chord_count
+    words = list(c.words) + [()] * min(c.free_loops, 2)
+    sites = [(a, i) for a, w in enumerate(words) for i in range(max(len(w), 1))]
+    for s, (a, i) in enumerate(sites):
+        for b, j in sites[s:]:
+            new = words[:]
+            for word, gap in ((b, j), (a, i)):  # the later gap first keeps the earlier's index
+                new[word] = new[word][:gap] + (x,) + new[word][gap:]
+            grown = tuple([w for w in new if w])
+            yield GaussCode(grown, c.free_loops + len(c.words) - len(grown), validate=False)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Ordered compositions of ``total`` into ``parts`` positive parts."""
-    if total == 0 or parts == 0:
-        if total == parts:
-            yield ()
-        return
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        prev = 0
-        comp = []
-        for c in cuts + (total,):
-            comp.append(c - prev)
-            prev = c
-        yield tuple(comp)
-
-
-def _matching_to_words(matching: tuple, lengths: tuple[int, ...]) -> tuple:
-    """Split positions 0..2n-1 into words of the given lengths, labeling the
-    matched pairs by first occurrence."""
-    total = sum(lengths)
-    owner: dict = {}
-    for a, b in matching:
-        owner[a] = (a, b)
-        owner[b] = (a, b)
-    assign: dict = {}
-    label_at = [0] * total
-    for pos in range(total):
-        pair = owner[pos]
-        if pair not in assign:
-            assign[pair] = len(assign)
-        label_at[pos] = assign[pair]
-    words = []
-    start = 0
-    for ln in lengths:
-        words.append(tuple(label_at[start:start + ln]))
-        start += ln
-    return tuple(words)
-
-
-def raw_arrangements(n: int, k: int) -> Iterator[tuple]:
-    """Words of all (2n-1)!! chord matchings laid on each composition of 2n into ``k``."""
-    for lengths in _compositions(2 * n, k):
-        for matching in _perfect_matchings(tuple(range(2 * n))):
-            yield _matching_to_words(matching, lengths)
-
-
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def enumerate_codes(n: int, k: int) -> tuple[CanonicalCode, ...]:
     """All isomorphism classes of diagrams with ``n`` chords and ``k``
     components (free loops included), each exactly once, sorted.
 
-    For k=1 the raw stream before deduplication has (2n-1)!! words."""
+    The n-chord classes grow from the (n-1)-chord ones by ``_grow``,
+    deduplicated by canonical form.  None is missed: deleting a chord of an
+    n-chord, k-component diagram leaves an (n-1)-chord one on k components
+    (a word it empties becomes a free loop) that grows back into it.  The
+    sizes must be ints; ``typed`` keeps ``2.0`` off ``2``'s cache entry."""
+    require_ints(n=n, k=k)
     if n < 0 or k < 0:
         raise PreconditionError("n and k must be non-negative")
     if n > 8:
         raise BudgetError("enumeration is bounded at 8 chords")
-    seen: set[CanonicalCode] = set()
-    for loops in range(k + 1):
-        for words in raw_arrangements(n, k - loops):
-            seen.add(canonicalize(GaussCode(words, loops, validate=False)))
-    return tuple(sorted(seen))
+    if n == 0:
+        return (CanonicalCode((), k),)
+    return tuple(sorted({canonicalize(g) for c in enumerate_codes(n - 1, k) for g in _grow(c)}))

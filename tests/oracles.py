@@ -19,12 +19,15 @@ certificate: each term's closure under the non-increasing moves.
 Realizability is looked up in a table of the enumerated one-circle classes,
 each class's graph read off its word by position alternation and matched
 by networkx's isomorphism test.
+The enumerated classes are also recomputed by canonicalizing every raw
+chord arrangement (``raw_arrangements``), not grown chord by chord.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from typing import Iterator
 
 from freeknot.analysis import SearchReport
 from freeknot.brackets import resolve, split_smoothing
@@ -664,3 +667,66 @@ def class_table_realizable(h) -> bool:
 
     table = _class_graph_table(h.number_of_nodes())
     return any(nx.is_isomorphic(h, c) for c in table.get(_degrees(h), ()))
+
+
+# ---------------------------------------------------------------------------
+# The raw scan: every chord arrangement, for the enumeration and the
+# exhaustive tests.  ``enumerate_codes`` grows its classes chord by chord;
+# these helpers lay all (2n-1)!! matchings on every composition instead.
+
+
+def _perfect_matchings(items: tuple) -> Iterator[tuple]:
+    if not items:
+        yield ()
+        return
+    a = items[0]
+    for j in range(1, len(items)):
+        b = items[j]
+        rest = items[1:j] + items[j + 1:]
+        for m in _perfect_matchings(rest):
+            yield ((a, b),) + m
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Ordered compositions of ``total`` into ``parts`` positive parts."""
+    if total == 0 or parts == 0:
+        if total == parts:
+            yield ()
+        return
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        prev = 0
+        comp = []
+        for c in cuts + (total,):
+            comp.append(c - prev)
+            prev = c
+        yield tuple(comp)
+
+
+def _matching_to_words(matching: tuple, lengths: tuple[int, ...]) -> tuple:
+    """Split positions 0..2n-1 into words of the given lengths, labeling the
+    matched pairs by first occurrence."""
+    total = sum(lengths)
+    owner: dict = {}
+    for a, b in matching:
+        owner[a] = (a, b)
+        owner[b] = (a, b)
+    assign: dict = {}
+    label_at = [0] * total
+    for pos in range(total):
+        pair = owner[pos]
+        if pair not in assign:
+            assign[pair] = len(assign)
+        label_at[pos] = assign[pair]
+    words = []
+    start = 0
+    for ln in lengths:
+        words.append(tuple(label_at[start:start + ln]))
+        start += ln
+    return tuple(words)
+
+
+def raw_arrangements(n: int, k: int) -> Iterator[tuple]:
+    """Words of all (2n-1)!! chord matchings laid on each composition of 2n into ``k``."""
+    for lengths in _compositions(2 * n, k):
+        for matching in _perfect_matchings(tuple(range(2 * n))):
+            yield _matching_to_words(matching, lengths)

@@ -48,9 +48,6 @@ from freeknot.diagrams import (
     from_framed,
     parse_gauss_code,
     to_framed,
-    _compositions,
-    _matching_to_words,
-    _perfect_matchings,
 )
 from freeknot.moves import (
     apply_r1_decrease,
@@ -73,7 +70,16 @@ from freeknot.parity import (
     source_sink_orientable,
 )
 from find_fixtures import search_minimal_fixtures
-from oracles import brute_canonical, descent_closure, kink_delete, uncancelled_terms, word_smooth
+from oracles import (
+    _compositions,
+    _matching_to_words,
+    _perfect_matchings,
+    brute_canonical,
+    descent_closure,
+    kink_delete,
+    uncancelled_terms,
+    word_smooth,
+)
 
 
 def code(t):

@@ -323,6 +323,22 @@ def test_random_moves_identity_and_conservation():
         assert moved.component_count == c.component_count
 
 
+@pytest.mark.parametrize("fn, args, match", [
+    (enumerate_codes, (2.5, 1), "n must be an int"),
+    (enumerate_codes, (2, 1.0), "k must be an int"),
+    (enumerate_codes, (2.0, 1), "n must be an int"),  # not (2, 1)'s cache entry
+    (random_diagram, (2.5, 1, 0), "n must be an int"),
+    (random_diagram, (2, 1.0, 0), "k must be an int"),
+    (random_moves, (code("a b a b"), -2, 4, 0), "count must be non-negative"),
+    (random_moves, (code("a b a b"), 1.0, 4, 0), "count must be an int"),
+    (random_moves, (code("a b a b"), 1, 4.0, 0), "max_vertices must be an int"),
+])
+def test_size_arguments_must_be_ints(fn, args, match):
+    enumerate_codes(2, 1)
+    with pytest.raises(PreconditionError, match=match):
+        fn(*args)
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 

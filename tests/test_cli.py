@@ -136,6 +136,12 @@ def test_bfs_negative_depth_is_a_precondition_error(capsys, depth):
     assert err == f"error: max_depth must be non-negative, got {depth}\n"
 
 
+def test_random_negative_moves_is_a_precondition_error(capsys):
+    status, out, err = run(capsys, "random", "3", "1", "--seed", "1", "--moves", "-2")
+    assert status == 2 and out == ""
+    assert err == "error: count must be non-negative, got -2\n"
+
+
 def test_enumerate_output(capsys):
     status, out, _ = run(capsys, "enumerate", "2", "1")
     assert status == 0 and out.splitlines() == ["a a b b", "a b a b"]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -17,17 +18,20 @@ from freeknot.diagrams import (
     enumerate_codes,
     from_framed,
     parse_gauss_code,
-    raw_arrangements,
     render_gauss_code,
     splice_out,
     to_framed,
     unicursal_components,
-    _perfect_matchings,
-    _matching_to_words,
 )
 from freeknot.brackets import resolve
 from freeknot.moves import apply_r2_decrease, find_r2
-from oracles import brute_canonical, naive_canonicalize, naive_splice_out, naive_unicursal_components
+from oracles import (
+    brute_canonical,
+    naive_canonicalize,
+    naive_splice_out,
+    naive_unicursal_components,
+    raw_arrangements,
+)
 
 
 def code(t):
@@ -372,12 +376,19 @@ def test_enumerate_zero_chords():
     assert [str(c) for c in enumerate_codes(0, 1)] == ["O"]
 
 
-def test_enumerate_matches_raw_double_occurrence_dedup():
-    n = 3
-    matchings = list(_perfect_matchings(tuple(range(2 * n))))
-    assert len(matchings) == 15  # (2n-1)!!
-    classes = {canonicalize(GaussCode(_matching_to_words(m, (2 * n,)))) for m in matchings}
-    assert set(enumerate_codes(n, 1)) == classes
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(5) for k in range(5)] + [(5, 1), (5, 2), (5, 3), (6, 1)])
+def test_enumerate_matches_raw_double_occurrence_dedup(n, k):
+    # the growth against the raw scan: every arrangement of n chords on the
+    # words, for every count of free loops among the k components
+    classes = {
+        canonicalize(GaussCode(words, loops))
+        for loops in range(k + 1)
+        for words in raw_arrangements(n, k - loops)
+    }
+    codes = enumerate_codes(n, k)
+    assert len(codes) == len(classes) and set(codes) == classes
+    if k == 1 and n > 0:
+        assert sum(1 for _ in raw_arrangements(n, 1)) == math.prod(range(1, 2 * n, 2))  # (2n-1)!!
 
 
 def test_enumerate_is_canonical_and_sorted():
@@ -388,7 +399,7 @@ def test_enumerate_is_canonical_and_sorted():
         assert c.component_count == 2 and c.chord_count == 3
 
 
-@pytest.mark.parametrize("n, classes", enumerate([1, 1, 2, 5, 17, 79, 554]))
+@pytest.mark.parametrize("n, classes", enumerate([1, 1, 2, 5, 17, 79, 554, 5283]))
 def test_enumerate_one_circle_class_counts(n, classes):
     # OEIS A007769: chord diagrams up to rotation and reflection
     assert len(enumerate_codes(n, 1)) == classes
