@@ -37,11 +37,11 @@ from .parity import InterlacementGraph, interlacement
 REALIZABLE_MAX_VERTICES = 8
 
 #: a move search raises ``BudgetError`` once it has visited more classes
-#: than this.  A visited class keeps about 370 bytes alive: its canonical
-#: code (about 290) and its parent link and frontier slot (75-87, measured
+#: than this.  A visited class keeps about 345 bytes alive: its canonical
+#: code (about 265) and its parent link and frontier slot (75-87, measured
 #: with tracemalloc and warm caches on ``explore_moves("a b c a b c", 7, 4)``
 #: and ``("a b a c b c", 7, 3)``, 3,211 and 2,804 classes).  So 2**18
-#: classes take about 100 MB, besides canonicalize's cache and the memo of
+#: classes take about 90 MB, besides canonicalize's cache and the memo of
 #: ``_children``.
 SEARCH_MAX_VISITED = 1 << 18
 
@@ -254,7 +254,9 @@ def _children(can: CanonicalCode, max_vertices: int) -> tuple[CanonicalCode, ...
     increases fit the bound.  On the search benchmark k is 6.2 on average
     and at most 211, so a full memo takes about 15 MB, and 125 MB if every
     entry had 211 children.  The codes are shared with canonicalize's
-    cache; one that cache has evicted stays alive here, at about 290 bytes."""
+    cache; one that cache has evicted stays alive here, at about 265 bytes.
+    On the two searches of ``SEARCH_MAX_VISITED`` an entry took 263 and 272
+    bytes, at 9.4 and 9.2 children."""
     d = to_framed(can)
     return tuple(dict.fromkeys(
         canonical_of(_apply(d, m)) for m in _moves(d, max_vertices) if m[0] != R1_UP or not m[2]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import InitVar, dataclass
-from typing import Hashable, Iterator
+from typing import Hashable, Iterator, NamedTuple
 
 FREE_LOOP_TOKEN = "O"
 
@@ -53,20 +53,8 @@ def require_ints(**values) -> None:
 # Gauss codes
 
 
-class _WordCounts:
-    """Sizes of a word form: ``words`` plus ``free_loops``."""
-
-    @property
-    def chord_count(self) -> int:
-        return sum(len(w) for w in self.words) // 2
-
-    @property
-    def component_count(self) -> int:
-        return len(self.words) + self.free_loops
-
-
 @dataclass(frozen=True)
-class GaussCode(_WordCounts):
+class GaussCode:
     """Cyclic double-occurrence words plus a free-loop count.
 
     ``words`` holds one tuple of labels per circle component that passes
@@ -97,6 +85,14 @@ class GaussCode(_WordCounts):
 
     def labels(self) -> list:
         return list(dict.fromkeys(lab for w in self.words for lab in w))
+
+    @property
+    def chord_count(self) -> int:
+        return sum(map(len, self.words)) // 2
+
+    @property
+    def component_count(self) -> int:
+        return len(self.words) + self.free_loops
 
 
 def code_lines(text: str) -> list[str]:
@@ -137,8 +133,10 @@ def render_gauss_code(code: GaussCode) -> str:
     return " | ".join(segs)
 
 
+@functools.cache
 def _int_label_name(i: int) -> str:
-    """0 -> a, 1 -> b, ..., 25 -> z, 26 -> aa, ..."""
+    """0 -> a, 1 -> b, ..., 25 -> z, 26 -> aa, ...  Cached: one entry per
+    label up to the largest chord count rendered."""
     s = ""
     i += 1
     while i:
@@ -147,20 +145,25 @@ def _int_label_name(i: int) -> str:
     return s
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalCode(_WordCounts):
+class CanonicalCode(NamedTuple):
     """Symmetry-minimised relabeled Gauss code; the equality and hash key
-    for diagrams.  Labels are first-occurrence indices 0..n-1."""
+    for diagrams.  Labels are first-occurrence indices 0..n-1.  A named
+    tuple, so that hashing, equality and order, which a move search pays
+    on every child, run in C; it orders as ``(words, free_loops)``."""
 
     words: tuple[tuple[int, ...], ...] = ()
     free_loops: int = 0
+
+    # the same sizes as a Gauss code's (a named tuple takes no mixin)
+    chord_count = GaussCode.chord_count
+    component_count = GaussCode.component_count
 
     def code(self) -> GaussCode:
         return GaussCode(self.words, self.free_loops, validate=False)
 
     def __str__(self) -> str:
         segs = [FREE_LOOP_TOKEN] * self.free_loops
-        segs.extend(" ".join(_int_label_name(lab) for lab in w) for w in self.words)
+        segs.extend(" ".join(map(_int_label_name, w)) for w in self.words)
         return " | ".join(segs)
 
 
@@ -420,18 +423,61 @@ def canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
     and are kept once.  Each walk is relabelled letter by letter against
     the least word so far and dropped at its first larger label.
 
+    A state tries only the walks that can be least:
+
+    * A letter is labelled when its chord ends on a placed component; it
+      occurs once on an unplaced one.  Every walk from a labelled letter
+      starts below every walk from an unlabelled one, which starts with
+      the next label.  So if any unplaced component has a labelled letter,
+      only those whose least labelled letter is least compete, each by the
+      two walks from that letter.
+    * Otherwise a walk reads fresh labels up to its first repeat.  On a
+      component with chords of its own, the repeat comes earliest, after
+      l letters, on the walks along a shortest arc of such a chord: forward
+      from the arc's start or backward from its end.  A chord that halves
+      its circle has two shortest arcs.
+    * A component of L letters with no chord of its own reads the same L
+      fresh labels on all 2L walks, which tie with different label maps,
+      and that word is a prefix of any word whose first repeat comes after
+      L letters or more.  So ranked ``(l, 1)`` and ``(L, 0)``, only the
+      components of least rank compete.
+
     The cache holds at most ``2**18`` entries.  An entry keeps its key
-    code, its result and its cache link alive: about 760 bytes at the sizes
-    of a move search (1-2 components, 3-9 chords) and 880 bytes for the
-    reduced states of a state sum, so a full cache takes 190-220 MB."""
+    code, its result and its cache link alive: about 740 bytes at the sizes
+    of a move search (1-2 components, 3-9 chords) and 870 bytes for the
+    reduced states of a state sum (tracemalloc, over the codes the search
+    and state-sum benchmarks miss on), so a full cache takes 190-230 MB."""
     code = as_code(code)
     k = len(code.words)
     index: dict = {}
-    comps = []  # the walks of each component
+    # per component: its letters twice over, forward and backward; the
+    # walks that can be least while none of its letters is labelled, and
+    # their rank; and the positions of its letters whose chords end on
+    # another component
+    comps = []
     for w in code.words:
         iw = [index.setdefault(x, len(index)) for x in w]
         size, fw = len(iw), iw + iw
-        comps.append([seq[s:s + size] for seq in (fw, fw[::-1]) for s in range(size)])
+        bw = fw[::-1]  # the walk backward from position e is bw[size-1-e:][:size]
+        once: dict = {}
+        arcs = []  # (length, start, end) of the shorter arcs of its own chords
+        for q, x in enumerate(iw):
+            p = once.pop(x, q)
+            if p == q:
+                once[x] = q
+            else:
+                d = q - p
+                if 2 * d <= size:
+                    arcs.append((d, p, q))
+                if 2 * d >= size:
+                    arcs.append((size - d, q, p))
+        least, rank = None, (size, 0)
+        if arcs:
+            ell = min(arcs)[0]
+            least = [fw[s:s + size] for a, s, _ in arcs if a == ell]
+            least += [bw[size - 1 - e:2 * size - 1 - e] for a, _, e in arcs if a == ell]
+            rank = (ell, 1)
+        comps.append((fw, bw, size, least, rank, once))
     n = len(index)
     # a state: the label of each letter (-1 if none yet), the components
     # used (a bit mask), the next label
@@ -440,52 +486,64 @@ def canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
     for depth in range(k):
         last = depth == k - 1
         best = (n,)  # above every word
+        bound = best + (-1,)  # a walk longer than best is larger
         ties: dict = {}
         for lab, used, nxt in states:
-            for c, walks in enumerate(comps):
-                bit = 1 << c
-                if used & bit:
+            # the unplaced components of least key, each with its walks
+            top = None
+            chosen = []
+            for c, (fw, bw, size, least, rank, once) in enumerate(comps):
+                if used >> c & 1:
                     continue
-                bound = best + (-1,)  # a walk longer than best is larger
-                for walk in walks:
+                m = n
+                for x, i in once.items():
+                    if -1 < lab[x] < m:
+                        m, at = lab[x], i
+                key = (-1, m) if m < n else rank
+                if top is None or key < top:
+                    top, chosen = key, []
+                if key == top:
+                    if m < n:  # the two walks from the least labelled letter
+                        least = [fw[at:at + size], bw[size - 1 - at:2 * size - 1 - at]]
+                    elif least is None:  # no chord of its own: every walk
+                        least = [seq[s:s + size] for seq in (fw, bw) for s in range(size)]
+                    chosen.append((c, least))
+            for c, cand in chosen:
+                bit = 1 << c
+                for walk in cand:
+                    mine = lab[:]
                     nx = nxt
-                    fresh = []
                     j = 0
                     for x in walk:
-                        m = lab[x]
+                        m = mine[x]
                         if m < 0:
-                            m = lab[x] = nx
+                            m = mine[x] = nx
                             nx += 1
-                            fresh.append(x)
                         if m != bound[j]:
                             break
                         j += 1
                     else:
                         if j == len(best):  # a tie
                             if not last:
-                                key = (used | bit, tuple(lab))
-                                if key not in ties:
-                                    ties[key] = (lab[:], used | bit, nx)
-                            for x in fresh:
-                                lab[x] = -1
+                                ties.setdefault((used | bit, tuple(mine)), nx)
                             continue
                         m = -1  # a proper prefix of best
                     if m < bound[j]:  # a new least word
                         for x in walk[j + 1:]:
-                            if lab[x] < 0:
-                                lab[x] = nx
+                            if mine[x] < 0:
+                                mine[x] = nx
                                 nx += 1
-                                fresh.append(x)
-                        best = tuple([lab[x] for x in walk])
+                        best = tuple([mine[x] for x in walk])
                         bound = best + (-1,)
-                        ties = {}
-                        if not last:
-                            ties[used | bit, tuple(lab)] = (lab[:], used | bit, nx)
-                    for x in fresh:
-                        lab[x] = -1
+                        ties = {} if last else {(used | bit, tuple(mine)): nx}
         out.append(best)
-        states = list(ties.values())
+        states = [(list(lab), used, nx) for (used, lab), nx in ties.items()]
     return CanonicalCode(tuple(out), code.free_loops)
+
+
+# the uncached function, for codes met once; bound here, as a wrapper put
+# around ``canonicalize`` later may not pass ``__wrapped__`` through
+_canonical_form = canonicalize.__wrapped__
 
 
 def canonical_of(d: GaussCode | CanonicalCode | FramedDiagram) -> CanonicalCode:
@@ -504,19 +562,23 @@ def canonical_of(d: GaussCode | CanonicalCode | FramedDiagram) -> CanonicalCode:
 
 def _grow(c: CanonicalCode) -> Iterator[GaussCode]:
     """Every code made by adding chord ``n`` to the n-chord class ``c``, its
-    two ends at an unordered pair of gaps.  A word of length m has m gaps, a
-    free loop is a word with one gap, and as loops are interchangeable, two
-    of them stand for all."""
+    two ends at an unordered pair of gaps.  A word of length m has m gaps and
+    a free loop is a word with one gap.  As loops are interchangeable, one
+    stands for all, and a second one is needed only for a chord with one end
+    on each."""
     x = c.chord_count
+    k = len(c.words)
     words = list(c.words) + [()] * min(c.free_loops, 2)
-    sites = [(a, i) for a, w in enumerate(words) for i in range(max(len(w), 1))]
-    for s, (a, i) in enumerate(sites):
-        for b, j in sites[s:]:
-            new = words[:]
-            for word, gap in ((b, j), (a, i)):  # the later gap first keeps the earlier's index
-                new[word] = new[word][:gap] + (x,) + new[word][gap:]
-            grown = tuple([w for w in new if w])
-            yield GaussCode(grown, c.free_loops + len(c.words) - len(grown), validate=False)
+    sites = [(a, i) for a, w in enumerate(words[:k + 1]) for i in range(max(len(w), 1))]
+    pairs = [(s, t) for i, s in enumerate(sites) for t in sites[i:]]
+    if c.free_loops > 1:
+        pairs.append(((k, 0), (k + 1, 0)))
+    for (a, i), (b, j) in pairs:
+        new = words[:]
+        for word, gap in ((b, j), (a, i)):  # the later gap first keeps the earlier's index
+            new[word] = new[word][:gap] + (x,) + new[word][gap:]
+        grown = tuple([w for w in new if w])
+        yield GaussCode(grown, c.free_loops + k - len(grown), validate=False)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -525,10 +587,13 @@ def enumerate_codes(n: int, k: int) -> tuple[CanonicalCode, ...]:
     components (free loops included), each exactly once, sorted.
 
     The n-chord classes grow from the (n-1)-chord ones by ``_grow``,
-    deduplicated by canonical form.  None is missed: deleting a chord of an
-    n-chord, k-component diagram leaves an (n-1)-chord one on k components
-    (a word it empties becomes a free loop) that grows back into it.  The
-    sizes must be ints; ``typed`` keeps ``2.0`` off ``2``'s cache entry."""
+    deduplicated by canonical form, which the uncached ``canonicalize``
+    computes: most grown codes are met once, and caching them would evict
+    the entries a long-running process has.  None is missed: deleting a
+    chord of an n-chord, k-component diagram leaves an (n-1)-chord one on k
+    components (a word it empties becomes a free loop) that grows back into
+    it.  The sizes must be ints; ``typed`` keeps ``2.0`` off ``2``'s cache
+    entry."""
     require_ints(n=n, k=k)
     if n < 0 or k < 0:
         raise PreconditionError("n and k must be non-negative")
@@ -536,4 +601,4 @@ def enumerate_codes(n: int, k: int) -> tuple[CanonicalCode, ...]:
         raise BudgetError("enumeration is bounded at 8 chords")
     if n == 0:
         return (CanonicalCode((), k),)
-    return tuple(sorted({canonicalize(g) for c in enumerate_codes(n - 1, k) for g in _grow(c)}))
+    return tuple(sorted({_canonical_form(g) for c in enumerate_codes(n - 1, k) for g in _grow(c)}))

@@ -9,12 +9,14 @@ from freeknot.diagrams import (
     PAIRING_A,
     PAIRING_B,
     PAIRING_FLAT,
+    CanonicalCode,
     CodeError,
     FramedDiagram,
     GaussCode,
     as_code,
     canonicalize,
     component_count,
+    _grow,
     enumerate_codes,
     from_framed,
     parse_gauss_code,
@@ -333,6 +335,48 @@ def test_canonical_matches_naive_on_symmetric_words(text):
     assert canonicalize(c) == naive_canonicalize(c)
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(7) for k in (1, 2)] + [(5, 3), (4, 4)])
+def test_canonical_walk_selection_matches_naive_on_scrambled_classes(n, k):
+    # the uncached function, so that the scrambles stay out of the cache
+    rng = random.Random(f"{n}:{k}")
+    for c in enumerate_codes(n, k):
+        s = _scramble(rng, c.code())
+        assert canonicalize.__wrapped__(s) == naive_canonicalize(s) == c, s
+
+
+@pytest.mark.parametrize("text, form", [
+    # a chord that halves its circle has two shortest arcs, and the least
+    # walk here runs along the one a single arc per chord would miss
+    ("a b a c | b d g f e c d e g f", "a b a c | b d e f g c d f g e"),
+    ("a b | a b", "a b | a b"),
+    ("a b c | c b a", "a b c | a b c"),
+    # ties at depth 1: the four walks of "y z" after "x x", and the six
+    # ways to place two components of the triangle
+    ("y z | x x | z y", "a a | b c | b c"),
+    ("u v | v w | w u", "a b | a c | b c"),
+])
+def test_canonical_named_cases(text, form):
+    c = code(text)
+    assert str(canonicalize(c)) == form
+    assert canonicalize(c) == naive_canonicalize(c) == brute_canonical(c)
+
+
+def test_canonical_code_contract():
+    a = CanonicalCode(((0, 1), (0, 1)), 1)
+    b = canonicalize(code("O | x y | y x"))
+    assert repr(a) == "CanonicalCode(words=((0, 1), (0, 1)), free_loops=1)"
+    assert str(a) == "O | a b | a b" and CanonicalCode() == CanonicalCode((), 0)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a.chord_count == 2 and a.component_count == 3
+    # ordered as (words, free_loops)
+    assert sorted([a, CanonicalCode(((0, 0),), 2), CanonicalCode(((0, 1), (0, 1)), 0)]) == [
+        CanonicalCode(((0, 0),), 2), CanonicalCode(((0, 1), (0, 1)), 0), a]
+    with pytest.raises(AttributeError):
+        a.words = ()
+    g = a.code()
+    assert a != g and g != a and canonicalize(g) == a
+
+
 def _found_family(evens: int) -> GaussCode:
     """``e0 o0 e0 o1 e1 o2 e1 o3 ... | o0 o1 ...``: each even chord encloses
     one odd crossing, so no smoothing closes a free loop, and the states
@@ -389,6 +433,20 @@ def test_enumerate_matches_raw_double_occurrence_dedup(n, k):
     assert len(codes) == len(classes) and set(codes) == classes
     if k == 1 and n > 0:
         assert sum(1 for _ in raw_arrangements(n, 1)) == math.prod(range(1, 2 * n, 2))  # (2n-1)!!
+
+
+def test_enumeration_leaves_the_canonicalize_cache_alone():
+    # both caches cold, so that no grown code can be a hit
+    enumerate_codes.cache_clear()
+    canonicalize.cache_clear()
+    assert len(enumerate_codes(5, 2)) == 273
+    assert canonicalize.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n, k", [(3, 3), (4, 3), (3, 4)])
+def test_grow_yields_each_code_once(n, k):
+    grown = [g for c in enumerate_codes(n, k) for g in _grow(c)]
+    assert len(grown) == len(set(grown))
 
 
 def test_enumerate_is_canonical_and_sorted():
