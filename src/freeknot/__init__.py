@@ -38,7 +38,6 @@ from .diagrams import (
     GaussCode,
     PreconditionError,
     as_code,
-    canonical_of,
     canonicalize,
     component_count,
     enumerate_codes,
@@ -73,5 +72,7 @@ from .parity import (
     is_irreducibly_odd,
     source_sink_orientable,
 )
+
+canonical_of = canonicalize  # the former name, which perfbench/test_inputs.py imports
 
 __version__ = "0.1.0"

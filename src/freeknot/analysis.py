@@ -23,7 +23,6 @@ from .diagrams import (
     GaussCode,
     PreconditionError,
     as_code,
-    canonical_of,
     canonicalize,
     code_lines,
     from_framed,
@@ -66,7 +65,7 @@ class MinimalityCertificate:
 def lower_bound_knot(code) -> MinimalityCertificate:
     """max(largest one-component bracket term, largest composed-bracket term
     plus one); empty sums contribute zero."""
-    can = canonical_of(code)
+    can = canonicalize(code)
     a = alex_bracket(code)
     kd = kdelta(code)
     a_bound = a.max_term_vertices()
@@ -81,7 +80,7 @@ def lower_bound_knot(code) -> MinimalityCertificate:
 
 def lower_bound_link2(code) -> MinimalityCertificate:
     """Largest term of the two-component bracket."""
-    can = canonical_of(code)
+    can = canonicalize(code)
     kb = kauffman_bracket(code)
     bound = kb.max_term_vertices()
     witness = max(kb.terms, key=lambda t: (t.chord_count, t)) if kb.terms else None
@@ -259,7 +258,7 @@ def _children(can: CanonicalCode, max_vertices: int) -> tuple[CanonicalCode, ...
     bytes, at 9.4 and 9.2 children."""
     d = to_framed(can)
     return tuple(dict.fromkeys(
-        canonical_of(_apply(d, m)) for m in _moves(d, max_vertices) if m[0] != R1_UP or not m[2]
+        canonicalize(_apply(d, m)) for m in _moves(d, max_vertices) if m[0] != R1_UP or not m[2]
     ))
 
 
@@ -287,7 +286,7 @@ def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, 
             child = target
             while (parent := parents[child]) is not None:
                 d = to_framed(parent)
-                move = next(m for m in _moves(d, max_vertices) if canonical_of(_apply(d, m)) == child)
+                move = next(m for m in _moves(d, max_vertices) if canonicalize(_apply(d, m)) == child)
                 m = _labelled(d, move)
                 steps.append(f"{m.kind}@{m.vertices or m.sites}")
                 child = parent
@@ -320,7 +319,7 @@ def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, 
 def bfs_equivalent(a, b, max_vertices: int, max_depth: int) -> SearchReport:
     """Bounded reachability between two codes; can certify equivalence but
     never inequivalence.  The bounds must be ints, ``max_depth`` >= 0."""
-    ca, cb = canonical_of(a), canonical_of(b)
+    ca, cb = canonicalize(a), canonicalize(b)
     if ca.component_count != cb.component_count:
         raise PreconditionError("codes with different component counts are never equivalent")
     return _bfs(ca, cb, max_vertices, max_depth)
@@ -329,7 +328,7 @@ def bfs_equivalent(a, b, max_vertices: int, max_depth: int) -> SearchReport:
 def explore_moves(a, max_vertices: int, max_depth: int) -> SearchReport:
     """Full bounded sweep from one code (no target).  The bounds must be
     ints, ``max_depth`` >= 0."""
-    return _bfs(canonical_of(a), None, max_vertices, max_depth)
+    return _bfs(canonicalize(a), None, max_vertices, max_depth)
 
 
 # ---------------------------------------------------------------------------

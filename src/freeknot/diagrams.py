@@ -1,7 +1,7 @@
 """Core diagram model for free knots and links.
 
-A diagram comes in three forms, and ``as_code`` and ``to_framed`` take any
-of them:
+A diagram comes in three forms, and ``as_code``, ``to_framed`` and
+``canonicalize`` take any of them:
 
 * ``GaussCode`` -- a multiset of cyclic words over chord labels, each label
   occurring exactly twice, plus a count of chord-free circle components
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Hashable, Iterator, NamedTuple
 
 FREE_LOOP_TOKEN = "O"
@@ -59,17 +59,13 @@ class GaussCode:
 
     ``words`` holds one tuple of labels per circle component that passes
     through at least one crossing; chord-free circles are counted in
-    ``free_loops`` instead of appearing as empty words.  ``validate=False``
-    skips the checks, for words read off a framed graph or a canonical code.
+    ``free_loops`` instead of appearing as empty words.
     """
 
     words: tuple[tuple[Hashable, ...], ...] = ()
     free_loops: int = 0
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
-        if not validate:
-            return
+    def __post_init__(self):
         if not isinstance(self.free_loops, int) or self.free_loops < 0:
             raise CodeError("free_loops must be a non-negative int")
         counts: dict[Hashable, int] = {}
@@ -159,7 +155,7 @@ class CanonicalCode(NamedTuple):
     component_count = GaussCode.component_count
 
     def code(self) -> GaussCode:
-        return GaussCode(self.words, self.free_loops, validate=False)
+        return GaussCode(self.words, self.free_loops)
 
     def __str__(self) -> str:
         segs = [FREE_LOOP_TOKEN] * self.free_loops
@@ -253,7 +249,6 @@ def to_framed(code: GaussCode | CanonicalCode | FramedDiagram) -> FramedDiagram:
     (0 in, 2 out), the second (1, 3); cyclically consecutive letters share an edge."""
     if isinstance(code, FramedDiagram):
         return code
-    code = as_code(code)
     try:
         labels = tuple(sorted({lab for w in code.words for lab in w}))
     except TypeError:
@@ -317,7 +312,7 @@ def from_framed(d: FramedDiagram) -> GaussCode:
     """Read the Gauss code back off a framed graph; labels are vertex ids."""
     labels = d.labels
     words = tuple([tuple([labels[h >> 2] for h in seq]) for seq in circles(d.mate)])
-    return GaussCode(words, d.free_loops, validate=False)
+    return GaussCode(words, d.free_loops)
 
 
 def as_code(code: GaussCode | CanonicalCode | FramedDiagram) -> GaussCode:
@@ -353,8 +348,9 @@ def remove_vertex(mate: list, i: int, pairing: tuple) -> int:
 
 
 def renumber(mate: list, order) -> list:
-    """The matching with vertex ``order[j]`` renumbered ``j``; ``order``
-    lists every vertex once."""
+    """The matching with vertex ``order[j]`` renumbered ``j``.  ``order``
+    lists every vertex once, or only the kept ones when none of them is
+    matched into a dropped one."""
     base = [0] * (len(mate) >> 2)
     for j, i in enumerate(order):
         base[i] = 4 * j
@@ -370,16 +366,11 @@ def splice_out(d: FramedDiagram, repairings: dict) -> FramedDiagram:
 
 def splice_out_at(d: FramedDiagram, repairings: dict) -> FramedDiagram:
     """``splice_out`` with the vertices given by number, not by label."""
-    labels, mate, free = list(d.labels), d.mate[:], d.free_loops
-    # from the last vertex down, so the vertices still to go keep their numbers
-    for i in sorted(repairings, reverse=True):
-        free += remove_vertex(mate, i, repairings[i])
-        del labels[i]
-        del mate[4 * i:4 * i + 4]
-        # the half-edges above vertex i move down four places
-        new = [*range(4 * i), -1, -1, -1, -1, *range(4 * i, len(mate))]
-        mate = list(map(new.__getitem__, mate))
-    return FramedDiagram(tuple(labels), mate, free, validate=False)
+    mate, free = d.mate[:], d.free_loops
+    for i, pairing in repairings.items():
+        free += remove_vertex(mate, i, pairing)
+    kept = [i for i in range(d.vertex_count) if i not in repairings]
+    return FramedDiagram(tuple([d.labels[i] for i in kept]), renumber(mate, kept), free, validate=False)
 
 
 def fresh_vertex_ids(d: FramedDiagram, count: int) -> list:
@@ -405,9 +396,11 @@ def fresh_vertex_ids(d: FramedDiagram, count: int) -> list:
 
 
 @functools.lru_cache(maxsize=1 << 18)
-def canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
-    """The least relabelled form of a code over all component orders,
-    rotations and per-component reflections.  Free loops pass through.
+def _canonical(words: tuple, free_loops: int) -> CanonicalCode:
+    """The least relabelled form of the code ``(words, free_loops)`` over
+    all component orders, rotations and per-component reflections.  Free
+    loops pass through.  ``canonicalize`` is its only caller through the
+    cache; ``__wrapped__`` is the uncached function, for codes met once.
 
     A candidate picks an order of the components and a starting letter and
     direction for each, then numbers the letters 0, 1, ... by first
@@ -440,22 +433,15 @@ def canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
       fresh labels on all 2L walks, which tie with different label maps,
       and that word is a prefix of any word whose first repeat comes after
       L letters or more.  So ranked ``(l, 1)`` and ``(L, 0)``, only the
-      components of least rank compete.
-
-    The cache holds at most ``2**18`` entries.  An entry keeps its key
-    code, its result and its cache link alive: about 740 bytes at the sizes
-    of a move search (1-2 components, 3-9 chords) and 870 bytes for the
-    reduced states of a state sum (tracemalloc, over the codes the search
-    and state-sum benchmarks miss on), so a full cache takes 190-230 MB."""
-    code = as_code(code)
-    k = len(code.words)
+      components of least rank compete."""
+    k = len(words)
     index: dict = {}
     # per component: its letters twice over, forward and backward; the
     # walks that can be least while none of its letters is labelled, and
     # their rank; and the positions of its letters whose chords end on
     # another component
     comps = []
-    for w in code.words:
+    for w in words:
         iw = [index.setdefault(x, len(index)) for x in w]
         size, fw = len(iw), iw + iw
         bw = fw[::-1]  # the walk backward from position e is bw[size-1-e:][:size]
@@ -538,34 +524,39 @@ def canonicalize(code: GaussCode | CanonicalCode) -> CanonicalCode:
                         ties = {} if last else {(used | bit, tuple(mine)): nx}
         out.append(best)
         states = [(list(lab), used, nx) for (used, lab), nx in ties.items()]
-    return CanonicalCode(tuple(out), code.free_loops)
+    return CanonicalCode(tuple(out), free_loops)
 
 
-# the uncached function, for codes met once; bound here, as a wrapper put
-# around ``canonicalize`` later may not pass ``__wrapped__`` through
-_canonical_form = canonicalize.__wrapped__
+def canonicalize(d: GaussCode | CanonicalCode | FramedDiagram) -> CanonicalCode:
+    """The canonical form of any diagram form; diagrams are equal when
+    their forms are.  It is cached by the plain pair ``(words,
+    free_loops)``: a code's own words, or for a framed graph the words of
+    its vertex numbers, so that every labelling of a graph shares one entry.
 
-
-def canonical_of(d: GaussCode | CanonicalCode | FramedDiagram) -> CanonicalCode:
-    """The canonical form of any diagram form.  The form ignores labels, so
-    a framed diagram is looked up by the words of its vertex numbers: one
-    cache key for every labelling."""
+    The cache holds at most ``2**18`` entries.  An entry keeps its key, its
+    result and its cache link alive: about 670 bytes at the sizes of a move
+    search (1-2 components, 3-9 chords) and 790 bytes for the reduced states
+    of a state sum (tracemalloc, over the codes the search and state-sum
+    benchmarks miss on), so a full cache takes 175-205 MB."""
     if isinstance(d, FramedDiagram):
-        words = tuple([tuple([h >> 2 for h in seq]) for seq in circles(d.mate)])
-        return canonicalize(GaussCode(words, d.free_loops, validate=False))
-    return canonicalize(as_code(d))
+        return _canonical(tuple([tuple([h >> 2 for h in seq]) for seq in circles(d.mate)]), d.free_loops)
+    return _canonical(d.words, d.free_loops)
+
+
+canonicalize.cache_info = _canonical.cache_info
+canonicalize.cache_clear = _canonical.cache_clear
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive enumeration of small diagrams
 
 
-def _grow(c: CanonicalCode) -> Iterator[GaussCode]:
-    """Every code made by adding chord ``n`` to the n-chord class ``c``, its
-    two ends at an unordered pair of gaps.  A word of length m has m gaps and
-    a free loop is a word with one gap.  As loops are interchangeable, one
-    stands for all, and a second one is needed only for a chord with one end
-    on each."""
+def _grow(c: CanonicalCode) -> Iterator[tuple]:
+    """Every code ``(words, free_loops)`` made by adding chord ``n`` to the
+    n-chord class ``c``, its two ends at an unordered pair of gaps.  A word
+    of length m has m gaps and a free loop is a word with one gap.  As loops
+    are interchangeable, one stands for all, and a second one is needed only
+    for a chord with one end on each."""
     x = c.chord_count
     k = len(c.words)
     words = list(c.words) + [()] * min(c.free_loops, 2)
@@ -578,7 +569,7 @@ def _grow(c: CanonicalCode) -> Iterator[GaussCode]:
         for word, gap in ((b, j), (a, i)):  # the later gap first keeps the earlier's index
             new[word] = new[word][:gap] + (x,) + new[word][gap:]
         grown = tuple([w for w in new if w])
-        yield GaussCode(grown, c.free_loops + k - len(grown), validate=False)
+        yield grown, c.free_loops + k - len(grown)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -587,13 +578,13 @@ def enumerate_codes(n: int, k: int) -> tuple[CanonicalCode, ...]:
     components (free loops included), each exactly once, sorted.
 
     The n-chord classes grow from the (n-1)-chord ones by ``_grow``,
-    deduplicated by canonical form, which the uncached ``canonicalize``
-    computes: most grown codes are met once, and caching them would evict
-    the entries a long-running process has.  None is missed: deleting a
-    chord of an n-chord, k-component diagram leaves an (n-1)-chord one on k
-    components (a word it empties becomes a free loop) that grows back into
-    it.  The sizes must be ints; ``typed`` keeps ``2.0`` off ``2``'s cache
-    entry."""
+    deduplicated by canonical form, which the uncached core of
+    ``canonicalize`` computes: most grown codes are met once, and caching
+    them would evict the entries a long-running process has.  None is
+    missed: deleting a chord of an n-chord, k-component diagram leaves an
+    (n-1)-chord one on k components (a word it empties becomes a free loop)
+    that grows back into it.  The sizes must be ints; ``typed`` keeps
+    ``2.0`` off ``2``'s cache entry."""
     require_ints(n=n, k=k)
     if n < 0 or k < 0:
         raise PreconditionError("n and k must be non-negative")
@@ -601,4 +592,4 @@ def enumerate_codes(n: int, k: int) -> tuple[CanonicalCode, ...]:
         raise BudgetError("enumeration is bounded at 8 chords")
     if n == 0:
         return (CanonicalCode((), k),)
-    return tuple(sorted({_canonical_form(g) for c in enumerate_codes(n - 1, k) for g in _grow(c)}))
+    return tuple(sorted({_canonical.__wrapped__(*g) for c in enumerate_codes(n - 1, k) for g in _grow(c)}))

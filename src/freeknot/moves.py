@@ -39,7 +39,7 @@ from .diagrams import (
     PAIRING_A,
     PAIRING_B,
     PAIRING_FLAT,
-    canonical_of,
+    canonicalize,
     fresh_vertex_ids,
     renumber,
     splice_out_at,
@@ -396,7 +396,7 @@ def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Rand
         if _rng is not None:
             move = _rng.choice(list(_bigons(d.mate)))
         d = _apply(d, move)
-    return canonical_of(d), d.free_loops > 0
+    return canonicalize(d), d.free_loops > 0
 
 
 def neighbors(d: FramedDiagram, allow_increase: int = 0) -> list[FramedDiagram]:
@@ -411,5 +411,5 @@ def neighbors(d: FramedDiagram, allow_increase: int = 0) -> list[FramedDiagram]:
         if move[0] == R1_UP and move[2] == 1:
             continue  # the two kink chiralities are isomorphic
         nd = _apply(d, move)
-        results.setdefault(canonical_of(nd), nd)
+        results.setdefault(canonicalize(nd), nd)
     return [results[c] for c in sorted(results)]

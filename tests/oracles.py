@@ -40,7 +40,6 @@ from freeknot.diagrams import (
     FramedDiagram,
     GaussCode,
     as_code,
-    canonical_of,
     canonicalize,
     component_count,
     enumerate_codes,
@@ -473,7 +472,7 @@ def descent_closure(term: CanonicalCode) -> frozenset:
         d = stack.pop()
         for m in find_r1(d) + find_r2(d) + find_r3(d):
             nd = apply_move(d, m)
-            c = canonical_of(nd)
+            c = canonicalize(nd)
             if c not in seen:
                 seen.add(c)
                 stack.append(nd)
@@ -583,7 +582,7 @@ def naive_reduce_r2(code, rng=None) -> tuple[CanonicalCode, bool]:
     while insts := find_r2(d):
         d = apply_r2_decrease(d, insts[0] if rng is None else rng.choice(insts))
         saw = saw or d.free_loops > 0
-    return canonical_of(d), saw
+    return canonicalize(d), saw
 
 
 def naive_state_sum(d, even_vertices, keep) -> set:

@@ -23,7 +23,6 @@ from freeknot.diagrams import (
     BudgetError,
     GaussCode,
     PreconditionError,
-    canonical_of,
     canonicalize,
     enumerate_codes,
     parse_gauss_code,
@@ -208,12 +207,12 @@ def test_the_mirror_kink_gives_the_class_of_side_0():
                 for loops in (0, 1):
                     d = to_framed(GaussCode(can.words, can.free_loops + loops))
                     for site in ((h, g) for h, g in enumerate(d.mate) if h < g):
-                        sides = (canonical_of(moves._apply(d, (moves.R1_UP, (site,), side))) for side in (0, 1))
+                        sides = (canonicalize(moves._apply(d, (moves.R1_UP, (site,), side))) for side in (0, 1))
                         assert len(set(sides)) == 1, (str(can), site)
                         checked += 1
                     # so skipping side 1 loses no child
-                    everything = (canonical_of(moves._apply(d, m)) for m in moves._moves(d, n + 2))
-                    assert analysis._children(canonical_of(d), n + 2) == tuple(dict.fromkeys(everything))
+                    everything = (canonicalize(moves._apply(d, m)) for m in moves._moves(d, n + 2))
+                    assert analysis._children(canonicalize(d), n + 2) == tuple(dict.fromkeys(everything))
     assert checked > 1000
 
 
@@ -259,7 +258,7 @@ def test_bfs_matches_the_labelled_search_oracle_on_scrambles():
         reached = 0
         for a, b, max_vertices, steps in scrambles:
             r = bfs_equivalent(b, a, max_vertices, steps)
-            assert r == naive_bfs(canonical_of(b), canonical_of(a), max_vertices, steps), (a, b)
+            assert r == naive_bfs(canonicalize(b), canonicalize(a), max_vertices, steps), (a, b)
             reached += len(r.path) if r.reached else 0
         assert reached > 40
 

@@ -24,7 +24,6 @@ from freeknot.diagrams import (
     CodeError,
     GaussCode,
     PreconditionError,
-    canonical_of,
     canonicalize,
     component_count,
     enumerate_codes,
@@ -60,7 +59,7 @@ def test_smooth_single_kink_free_loop_counts():
 def test_smooth_splits_crossed_pair():
     d = to_framed(code("a b a b"))
     split = split_smoothing(d, "a")
-    assert canonical_of(split) == canon("b | b")
+    assert canonicalize(split) == canon("b | b")
 
 
 def test_smooth_matches_word_surgery_oracle():
@@ -69,7 +68,7 @@ def test_smooth_matches_word_surgery_oracle():
         c = code(t)
         d = to_framed(c)
         for v in d.vertices():
-            got = sorted(canonical_of(resolve(d, {v: ch})) for ch in "AB")
+            got = sorted(canonicalize(resolve(d, {v: ch})) for ch in "AB")
             expected = sorted(canonicalize(r) for r in word_smooth(c, v))
             assert got == expected, (t, v)
 

@@ -16,6 +16,7 @@ from freeknot.diagrams import (
     as_code,
     canonicalize,
     component_count,
+    _canonical,
     _grow,
     enumerate_codes,
     from_framed,
@@ -341,7 +342,7 @@ def test_canonical_walk_selection_matches_naive_on_scrambled_classes(n, k):
     rng = random.Random(f"{n}:{k}")
     for c in enumerate_codes(n, k):
         s = _scramble(rng, c.code())
-        assert canonicalize.__wrapped__(s) == naive_canonicalize(s) == c, s
+        assert _canonical.__wrapped__(s.words, s.free_loops) == naive_canonicalize(s) == c, s
 
 
 @pytest.mark.parametrize("text, form", [
@@ -375,6 +376,29 @@ def test_canonical_code_contract():
         a.words = ()
     g = a.code()
     assert a != g and g != a and canonicalize(g) == a
+
+
+def test_canonical_code_builds_only_valid_gauss_codes():
+    with pytest.raises(CodeError):
+        CanonicalCode(((0, 0, 0),), 0).code()
+    with pytest.raises(TypeError):  # no knob skips the checks
+        GaussCode((("a", "a"),), 0, False)
+
+
+def test_canonicalize_takes_every_form_and_caches_a_graph_by_its_vertex_numbers():
+    d = to_framed(code("O | a b c a d | b c d"))
+    g = from_framed(d)
+    names = {"a": "p", "b": "q", "c": "r", "d": "s"}
+    relabelled = GaussCode(tuple(tuple(names[x] for x in w) for w in g.words), g.free_loops)
+    can = canonicalize(d)
+    assert isinstance(can, CanonicalCode)
+    assert canonicalize(g) == canonicalize(relabelled) == canonicalize(can) == can
+    # the same graph under other labels: the same key, so a hit
+    e = to_framed(relabelled)
+    assert e.mate == d.mate and e.labels != d.labels
+    hits = canonicalize.cache_info().hits
+    assert canonicalize(e) == can
+    assert canonicalize.cache_info().hits == hits + 1
 
 
 def _found_family(evens: int) -> GaussCode:

@@ -17,3 +17,21 @@ def test_traced_functions_exist(repo_root):
         assert callable(getattr(importlib.import_module(f"freeknot.{module}"), fn, None)), name
     # ``perfbench/run.py::cache_counts`` reads the cache in every run, traced or not
     assert callable(getattr(importlib.import_module("freeknot.diagrams").canonicalize, "cache_info", None))
+
+
+def test_the_cache_counters_the_benchmark_reads_move():
+    # ``perfbench/run.py`` reports these hits and misses; counters that stood
+    # still would report zeros without an error
+    diagrams = importlib.import_module("freeknot.diagrams")
+
+    def counts():
+        info = diagrams.canonicalize.cache_info()
+        return info.hits, info.misses
+
+    word = tuple("abcdefghabdcfehg")
+    hits, misses = counts()
+    diagrams.canonicalize(diagrams.to_framed(diagrams.GaussCode((word,))))
+    after = counts()
+    assert sum(after) == hits + misses + 1
+    diagrams.canonicalize(diagrams.to_framed(diagrams.GaussCode((word,))))
+    assert counts() == (after[0] + 1, after[1])
