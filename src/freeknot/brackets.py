@@ -193,8 +193,9 @@ def _smoothings(mate: list, evens: range, loops: int, max_loops: int):
                 stack.append((child, depth + 1, closed))
 
 
-def _state_sum(d: FramedDiagram, even_vertices: list, knot: bool) -> set:
-    """XOR of reduced states over all smoothings of ``even_vertices``.
+def _state_sum(d: FramedDiagram, odd: frozenset, knot: bool) -> set:
+    """XOR of reduced states over all smoothings of the vertices not in
+    ``odd``, the even ones.
 
     ``knot`` keeps the one-component states (``alex_bracket``); otherwise a
     state is dropped once it carries a free loop, before or during its
@@ -202,15 +203,15 @@ def _state_sum(d: FramedDiagram, even_vertices: list, knot: bool) -> set:
     dropped states are cut before they are built, equal states cancel in
     pairs, and a ``FramedDiagram`` is built only for the rest.  Over
     budget, none is built."""
-    if len(even_vertices) > STATE_SUM_MAX_EVENS:
-        raise BudgetError(f"{len(even_vertices)} even crossings; "
+    evens = d.vertex_count - len(odd)
+    if evens > STATE_SUM_MAX_EVENS:
+        raise BudgetError(f"{evens} even crossings; "
                           f"state sums stop at {STATE_SUM_MAX_EVENS}")
-    # the vertices left unsmoothed come first, so a state is a prefix of the matching
-    evens = set(even_vertices)
-    order = sorted(range(d.vertex_count), key=lambda i: d.labels[i] in evens)
+    # the odd vertices stay unsmoothed and come first: a state is a prefix of the matching
+    order = sorted(range(d.vertex_count), key=lambda i: d.labels[i] not in odd)
     mate = renumber(d.mate, order)
     labels = tuple(d.labels[i] for i in order)
-    live = len(labels) - len(evens)
+    live = len(odd)
     # an unsmoothed crossing lies on a circle, and a knot state keeps one
     # component, so it may gain a free loop only when every crossing is smoothed
     max_loops = 1 if knot and not live else 0
@@ -232,9 +233,7 @@ def alex_bracket(code) -> FormalSum:
     valued in ``knot``.  With every crossing odd the sum is the single term
     given by reducing the diagram itself.  Budget: ``STATE_SUM_MAX_EVENS``."""
     d = _framed(code, 1, "alex_bracket")
-    par = gaussian_parity(d)
-    evens = sorted((v for v in d.vertices() if not par.is_odd(v)), key=str)
-    support = _state_sum(d, evens, knot=True)
+    support = _state_sum(d, gaussian_parity(d).odd, knot=True)
     return FormalSum(frozenset(support), CTX_KNOT, validate=False)
 
 
@@ -243,9 +242,7 @@ def kauffman_bracket(code) -> FormalSum:
     diagram; every state is kept unless it acquires a free loop; valued in
     ``link``.  Budget: ``STATE_SUM_MAX_EVENS``."""
     d = _framed(code, 2, "kauffman_bracket")
-    par = component_parity(d)
-    evens = sorted((v for v in d.vertices() if not par.is_odd(v)), key=str)
-    support = _state_sum(d, evens, knot=False)
+    support = _state_sum(d, component_parity(d).odd, knot=False)
     return FormalSum(frozenset(support), CTX_LINK, validate=False)
 
 

@@ -29,7 +29,6 @@ from .diagrams import (
     enumerate_codes,
     parse_gauss_code,
     render_gauss_code,
-    to_framed,
 )
 
 EXIT_OK = 0
@@ -103,7 +102,7 @@ def _cmd_parity(args):
 
 
 def _cmd_orientable(args):
-    ok = parity.source_sink_orientable(to_framed(_input_code(args)))
+    ok = parity.source_sink_orientable(_input_code(args))
     return {"orientable": ok}, [_text(ok)]
 
 

@@ -5,11 +5,16 @@ a chord is odd iff it interlaces an odd number of other chords.  Component
 parity (two-component diagrams): a crossing is odd iff its two passages lie
 on different components.  Both satisfy the move axioms checked by
 ``check_parity_axioms``.
+
+Interlacement, both rules and irreducible oddness come from one pass over
+the circles in turn, a bit per chord.  A running XOR of the chords met once,
+taken at both ends of a chord, gives the chords with one end between them:
+its neighbours on one circle; chords still open at a circle's end span two.
+A framed graph is read by vertex number; no Gauss code is rebuilt from it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import moves as _moves
@@ -17,6 +22,8 @@ from .diagrams import (
     FramedDiagram,
     PreconditionError,
     as_code,
+    circles,
+    to_framed,
 )
 
 GAUSSIAN = "gaussian"
@@ -52,29 +59,43 @@ class InterlacementGraph:
         return "\n".join(lines)
 
 
+def _chords(code, components: int = 0, wrong: str = "") -> tuple:
+    """The chord labels in order of first occurrence, each chord's
+    neighbours as a bit mask over that order, and the mask of the chords on
+    two circles.  With ``wrong`` set, a diagram without ``components``
+    components raises ``PreconditionError(wrong)``."""
+    if isinstance(code, FramedDiagram):
+        words = [[h >> 2 for h in seq] for seq in circles(code.mate)]
+        names, count = code.labels, len(words) + code.free_loops
+    else:
+        code = as_code(code)
+        words, names, count = code.words, None, code.component_count
+    if wrong and count != components:
+        raise PreconditionError(wrong)
+    index: dict = {}  # chord -> its bit
+    nbr: list = []
+    run = spanning = 0
+    for w in words:
+        for x in w:
+            i = index.get(x)
+            if i is None:  # its first end: keep the XOR just after it
+                i = index[x] = len(nbr)
+                nbr.append(run ^ 1 << i)
+            else:  # its second: the chords met once between its ends
+                nbr[i] ^= run
+            run ^= 1 << i
+        spanning |= run
+    labels = list(index) if names is None else [names[v] for v in index]
+    return labels, [0 if spanning >> i & 1 else m & ~spanning for i, m in enumerate(nbr)], spanning
+
+
 def interlacement(code) -> InterlacementGraph:
     """Edges join chords whose endpoints alternate on one circle; chords
     spanning two circles interlace nothing."""
-    code = as_code(code)
-    pos: dict = {}
-    for wi, w in enumerate(code.words):
-        for i, lab in enumerate(w):
-            pos.setdefault(lab, []).append((wi, i))
-    labels = sorted(pos, key=str)
-    edges = set()
-    for x, y in itertools.combinations(labels, 2):
-        (wx1, i1), (wx2, i2) = pos[x]
-        if wx1 != wx2:
-            continue
-        (wy1, j1), (wy2, j2) = pos[y]
-        if wy1 != wy2 or wy1 != wx1:
-            continue
-        length = len(code.words[wx1])
-        span = (i2 - i1) % length
-        inside = sum(1 for j in (j1, j2) if 0 < (j - i1) % length < span)
-        if inside == 1:
-            edges.add(frozenset((x, y)))
-    return InterlacementGraph(tuple(labels), frozenset(edges))
+    labels, nbr, _ = _chords(code)
+    edges = frozenset(frozenset((labels[i], labels[j]))
+                      for i, m in enumerate(nbr) for j in range(i) if m >> j & 1)
+    return InterlacementGraph(tuple(sorted(labels, key=str)), edges)
 
 
 @dataclass(frozen=True)
@@ -97,31 +118,16 @@ class ParityAssignment:
 
 def gaussian_parity(code) -> ParityAssignment:
     """Odd = odd interlacement degree.  One-component diagrams only."""
-    code = as_code(code)
-    if code.component_count != 1:
-        raise PreconditionError("gaussian parity requires exactly one component")
-    g = interlacement(code)
-    odd = frozenset(v for v in g.vertices if g.degree(v) % 2 == 1)
-    return ParityAssignment(GAUSSIAN, odd, g.vertices)
+    labels, nbr, _ = _chords(code, 1, "gaussian parity requires exactly one component")
+    odd = frozenset(x for x, m in zip(labels, nbr) if m.bit_count() & 1)
+    return ParityAssignment(GAUSSIAN, odd, tuple(sorted(labels, key=str)))
 
 
 def component_parity(code) -> ParityAssignment:
     """Odd = endpoints on different components.  Two-component diagrams."""
-    code = as_code(code)
-    if code.component_count != 2:
-        raise PreconditionError("component parity requires exactly two components")
-    word_of: dict = {}
-    odd = set()
-    labels = []
-    for wi, w in enumerate(code.words):
-        for lab in w:
-            if lab in word_of:
-                if word_of[lab] != wi:
-                    odd.add(lab)
-            else:
-                word_of[lab] = wi
-                labels.append(lab)
-    return ParityAssignment(COMPONENT, frozenset(odd), tuple(sorted(labels, key=str)))
+    labels, _, spanning = _chords(code, 2, "component parity requires exactly two components")
+    odd = frozenset(x for i, x in enumerate(labels) if spanning >> i & 1)
+    return ParityAssignment(COMPONENT, odd, tuple(sorted(labels, key=str)))
 
 
 def parity(code, rule: str) -> ParityAssignment:
@@ -136,12 +142,12 @@ def parity(code, rule: str) -> ParityAssignment:
 # Source-sink orientability
 
 
-def source_sink_orientable(d: FramedDiagram) -> bool:
+def source_sink_orientable(d) -> bool:
     """True iff the edges can be directed so that at every vertex one
     opposite pair points in and the other points out.  Decided by parity
-    propagation over the edge-direction variables; free loops are vacuously
-    orientable."""
-    mate = d.mate
+    propagation over the edge-direction variables of the framed graph;
+    free loops are vacuously orientable."""
+    mate = to_framed(d).mate
     # edge e is named by its lesser half-edge; its end h points into its
     # vertex iff x_e XOR (h is the greater end).  Constraints: x_e1 ^ x_e2 = rhs
     adj: dict = {min(h, g): [] for h, g in enumerate(mate)}
@@ -178,17 +184,10 @@ def source_sink_orientable(d: FramedDiagram) -> bool:
 def is_irreducibly_odd(code) -> bool:
     """All chords Gaussian-odd and every chord pair distinguished by a third
     chord's interlacement."""
-    code = as_code(code)
-    if code.component_count != 1:
-        raise PreconditionError("irreducible oddness requires one component")
-    g = interlacement(code)
-    if any(g.degree(v) % 2 == 0 for v in g.vertices):
-        return False
-    nbr = g.neighbor_sets()
-    for a, b in itertools.combinations(g.vertices, 2):
-        if not (nbr[a] ^ nbr[b]) - {a, b}:
-            return False
-    return True
+    _, nbr, _ = _chords(code, 1, "irreducible oddness requires one component")
+    # no third chord tells a from b iff N(a) = N(b), or N(a) + a = N(b) + b
+    closed = {m | 1 << i for i, m in enumerate(nbr)}
+    return all(m.bit_count() & 1 for m in nbr) and len(set(nbr)) == len(closed) == len(nbr)
 
 
 # ---------------------------------------------------------------------------

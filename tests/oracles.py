@@ -21,6 +21,9 @@ each class's graph read off its word by position alternation and matched
 by networkx's isomorphism test.
 The enumerated classes are also recomputed by canonicalizing every raw
 chord arrangement (``raw_arrangements``), not grown chord by chord.
+Interlacement and both parities are recomputed on the Gauss code's words,
+by a span test on every pair of chords and a scan of each label's word,
+and the brackets' oracles take their even crossings from these.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from freeknot.diagrams import (
     CodeError,
     FramedDiagram,
     GaussCode,
+    PreconditionError,
     as_code,
     canonicalize,
     component_count,
@@ -58,7 +62,12 @@ from freeknot.moves import (
     find_r2,
     find_r3,
 )
-from freeknot.parity import component_parity, gaussian_parity
+from freeknot.parity import (
+    COMPONENT,
+    GAUSSIAN,
+    InterlacementGraph,
+    ParityAssignment,
+)
 
 
 def brute_canonical(code: GaussCode) -> CanonicalCode:
@@ -604,14 +613,14 @@ def _evens(d, par) -> list:
 def naive_alex_bracket(code) -> set:
     """Support of ``alex_bracket``: every state built, one-component kept."""
     d = to_framed(code)
-    return naive_state_sum(d, _evens(d, gaussian_parity(d)),
+    return naive_state_sum(d, _evens(d, naive_gaussian_parity(d)),
                            lambda state, reduced, saw: component_count(state) == 1)
 
 
 def naive_kauffman_bracket(code) -> set:
     """Support of ``kauffman_bracket``: every state built, free loops dropped."""
     d = to_framed(code)
-    return naive_state_sum(d, _evens(d, component_parity(d)),
+    return naive_state_sum(d, _evens(d, naive_component_parity(d)),
                            lambda state, reduced, saw: not saw)
 
 
@@ -628,6 +637,80 @@ def naive_kdelta(code) -> set:
     for t in terms:
         total ^= naive_kauffman_bracket(t)
     return total
+
+
+# ---------------------------------------------------------------------------
+# Interlacement and parity by pairwise span tests and word scans
+
+
+def naive_interlacement(code) -> InterlacementGraph:
+    """Edges join chords whose endpoints alternate on one circle; chords
+    spanning two circles interlace nothing."""
+    code = as_code(code)
+    pos: dict = {}
+    for wi, w in enumerate(code.words):
+        for i, lab in enumerate(w):
+            pos.setdefault(lab, []).append((wi, i))
+    labels = sorted(pos, key=str)
+    edges = set()
+    for x, y in itertools.combinations(labels, 2):
+        (wx1, i1), (wx2, i2) = pos[x]
+        if wx1 != wx2:
+            continue
+        (wy1, j1), (wy2, j2) = pos[y]
+        if wy1 != wy2 or wy1 != wx1:
+            continue
+        length = len(code.words[wx1])
+        span = (i2 - i1) % length
+        inside = sum(1 for j in (j1, j2) if 0 < (j - i1) % length < span)
+        if inside == 1:
+            edges.add(frozenset((x, y)))
+    return InterlacementGraph(tuple(labels), frozenset(edges))
+
+
+def naive_gaussian_parity(code) -> ParityAssignment:
+    """Odd = odd interlacement degree.  One-component diagrams only."""
+    code = as_code(code)
+    if code.component_count != 1:
+        raise PreconditionError("gaussian parity requires exactly one component")
+    g = naive_interlacement(code)
+    odd = frozenset(v for v in g.vertices if g.degree(v) % 2 == 1)
+    return ParityAssignment(GAUSSIAN, odd, g.vertices)
+
+
+def naive_component_parity(code) -> ParityAssignment:
+    """Odd = endpoints on different components.  Two-component diagrams."""
+    code = as_code(code)
+    if code.component_count != 2:
+        raise PreconditionError("component parity requires exactly two components")
+    word_of: dict = {}
+    odd = set()
+    labels = []
+    for wi, w in enumerate(code.words):
+        for lab in w:
+            if lab in word_of:
+                if word_of[lab] != wi:
+                    odd.add(lab)
+            else:
+                word_of[lab] = wi
+                labels.append(lab)
+    return ParityAssignment(COMPONENT, frozenset(odd), tuple(sorted(labels, key=str)))
+
+
+def naive_is_irreducibly_odd(code) -> bool:
+    """All chords Gaussian-odd and every chord pair distinguished by a third
+    chord's interlacement."""
+    code = as_code(code)
+    if code.component_count != 1:
+        raise PreconditionError("irreducible oddness requires one component")
+    g = naive_interlacement(code)
+    if any(g.degree(v) % 2 == 0 for v in g.vertices):
+        return False
+    nbr = g.neighbor_sets()
+    for a, b in itertools.combinations(g.vertices, 2):
+        if not (nbr[a] ^ nbr[b]) - {a, b}:
+            return False
+    return True
 
 
 def word_interlacement_edges(word: tuple) -> set:

@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freeknot.analysis import random_diagram, random_moves
+from freeknot.analysis import load_fixture, random_diagram, random_moves
 from freeknot.diagrams import (
+    CanonicalCode,
+    CodeError,
     GaussCode,
     PreconditionError,
     canonicalize,
@@ -22,6 +24,12 @@ from freeknot.parity import (
     interlacement,
     is_irreducibly_odd,
     source_sink_orientable,
+)
+from oracles import (
+    naive_component_parity,
+    naive_gaussian_parity,
+    naive_interlacement,
+    naive_is_irreducibly_odd,
 )
 
 
@@ -107,7 +115,9 @@ def test_orientable_examples():
 def test_orientability_equals_all_even_small_sweep():
     for n in range(0, 5):
         for can in enumerate_codes(n, 1):
-            assert source_sink_orientable(to_framed(can.code())) == gaussian_parity(can.code()).all_even()
+            even = gaussian_parity(can.code()).all_even()
+            for form in (can, can.code(), to_framed(can)):
+                assert source_sink_orientable(form) == even
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +132,76 @@ def test_irreducibly_odd_examples():
 def test_irreducibly_odd_requires_one_component():
     with pytest.raises(PreconditionError):
         is_irreducibly_odd(code("a b | a b"))
+
+
+# ---------------------------------------------------------------------------
+# the bit-mask pass against the pairwise oracle
+
+FUNCTIONS = (
+    (interlacement, naive_interlacement),
+    (gaussian_parity, naive_gaussian_parity),
+    (component_parity, naive_component_parity),
+    (is_irreducibly_odd, naive_is_irreducibly_odd),
+)
+
+
+def _outcome(fn, form):
+    """The result of ``fn(form)``, or the message of its ``PreconditionError``."""
+    try:
+        return fn(form)
+    except PreconditionError as e:
+        return ("PreconditionError", str(e))
+
+
+def _forms(c, rng):
+    """A diagram as its class, a code, its framed graph, a code relabelled
+    by shuffled strings (so neither first occurrence nor vertex order is the
+    order of the names) and that code's framed graph."""
+    can = canonicalize(c)
+    names = [f"c{i}" for i in range(can.chord_count)]
+    rng.shuffle(names)
+    strings = GaussCode(tuple(tuple(names[x] for x in w) for w in can.words), can.free_loops)
+    return can, c, to_framed(c), strings, to_framed(strings)
+
+
+def test_parity_matches_the_naive_oracle_exhaustive_small():
+    rng = random.Random(16)
+    codes = [can.code() for n in range(6) for k in (1, 2, 3) for can in enumerate_codes(n, k)]
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        c = random_diagram(n, rng.randint(1, 3), rng)
+        codes.append(GaussCode(c.words, rng.randint(0, 1)))
+    for c in codes:
+        for form in _forms(c, rng):
+            for fn, oracle in FUNCTIONS:
+                assert _outcome(fn, form) == _outcome(oracle, form), (fn.__name__, c)
+
+
+def test_parity_rejects_an_invalid_class_and_takes_labels_that_do_not_compare():
+    bad = CanonicalCode(((0, 0, 0),), 0)
+    mixed = GaussCode((("a", 1, "a", 1),))
+    for fn, oracle in FUNCTIONS:
+        with pytest.raises(CodeError):
+            fn(bad)
+        assert _outcome(fn, mixed) == _outcome(oracle, mixed)
+
+
+def test_framed_graphs_are_read_without_building_a_code(monkeypatch):
+    builds = []
+    post_init = GaussCode.__post_init__
+    k1, l1 = to_framed(load_fixture("k1")), to_framed(load_fixture("l1"))
+
+    def counting(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GaussCode, "__post_init__", counting)
+    interlacement(k1)
+    gaussian_parity(k1)
+    is_irreducibly_odd(k1)
+    interlacement(l1)
+    component_parity(l1)
+    assert builds == []
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,17 @@ import sys
 
 def test_survey_counts_the_one_circle_classes(repo_root):
     script = repo_root / "scripts" / "survey_small_diagrams.py"
-    run = subprocess.run([sys.executable, str(script), "--max-chords", "3"],
+    run = subprocess.run([sys.executable, str(script), "--max-chords", "5"],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     rows = [line.split() for line in run.stdout.splitlines()[1:]]
-    assert [(int(r[0]), int(r[1])) for r in rows] == [(0, 1), (1, 1), (2, 2), (3, 5)]
+    # n, classes, R2-irreducible, all even, all odd, irreducibly odd, then
+    # the lower-bound histogram
+    assert rows == [
+        ["0", "1", "1", "1", "0", "1", "0*:1"],
+        ["1", "1", "1", "1", "0", "0", "0:1"],
+        ["2", "2", "0", "1", "1", "0", "0:2"],
+        ["3", "5", "1", "3", "0", "0", "0:5"],
+        ["4", "17", "4", "5", "3", "0", "0:17"],
+        ["5", "79", "22", "17", "0", "0", "0:76", "3:3"],
+    ]
