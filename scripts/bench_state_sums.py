@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Time the three state sums on seeded random diagrams.
+
+For each even-crossing count given, one seeded input per bracket is drawn
+with ``random_diagram``: a one-circle diagram with that many Gaussian-even
+chords for ``alex_bracket`` and ``kdelta`` (none of whose delta terms is over
+the state-sum budget), and a two-circle diagram with that many
+component-even chords for ``kauffman_bracket``.  Each bracket is timed over
+all its inputs ``--repeat`` times, with the canonical-form cache cleared
+before every call, and the run prints one JSON line with the median time
+of each.  It imports the package from the checkout it lives in, so running
+it from two checkouts compares them.
+
+Usage: python scripts/bench_state_sums.py [--chords N] [--evens E ...]
+                                          [--seed S] [--repeat R]
+"""
+
+import argparse
+import json
+import pathlib
+import random
+import statistics
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from freeknot.analysis import random_diagram  # noqa: E402
+from freeknot.brackets import STATE_SUM_MAX_EVENS, alex_bracket, delta, kauffman_bracket, kdelta  # noqa: E402
+from freeknot.diagrams import canonicalize  # noqa: E402
+from freeknot.parity import component_parity, gaussian_parity  # noqa: E402
+
+
+def evens(code, parity) -> int:
+    return code.chord_count - len(parity(code).odd)
+
+
+def within_budget(code) -> bool:
+    return all(evens(t, component_parity) <= STATE_SUM_MAX_EVENS for t in delta(code).terms)
+
+
+def draw(rng: random.Random, chords: int, circles: int, parity, count: int, ok=lambda c: True):
+    """A seeded random diagram with ``count`` even chords under ``parity``.
+    A one-circle diagram has an even number of odd chords, as the degrees
+    of a graph sum to an even number, so some counts never occur."""
+    for _ in range(10_000):
+        c = random_diagram(chords, circles, rng)
+        if evens(c, parity) == count and ok(c):
+            return c
+    sys.exit(f"no {circles}-circle input with {chords} chords and {count} even ones in 10,000 draws")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--chords", type=int, default=22)
+    ap.add_argument("--evens", type=int, nargs="+", default=[14, 16])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--repeat", type=int, default=3)
+    args = ap.parse_args()
+
+    rng = random.Random(args.seed)
+    knots = [draw(rng, args.chords, 1, gaussian_parity, e, within_budget) for e in args.evens]
+    links = [draw(rng, args.chords, 2, component_parity, e) for e in args.evens]
+    brackets = {"alex_bracket": (alex_bracket, knots),
+                "kauffman_bracket": (kauffman_bracket, links),
+                "kdelta": (kdelta, knots)}
+    medians = {}
+    for name, (bracket, inputs) in brackets.items():
+        times = []
+        for _ in range(args.repeat):
+            total = 0.0
+            for c in inputs:
+                canonicalize.cache_clear()
+                start = time.perf_counter()
+                bracket(c)
+                total += time.perf_counter() - start
+            times.append(total)
+        medians[name] = round(statistics.median(times), 6)
+    print(json.dumps({"chords": args.chords, "evens": args.evens, "seed": args.seed,
+                      "repeat": args.repeat, "median_s": medians}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,9 +22,9 @@ from .diagrams import (
     CodeError,
     GaussCode,
     PreconditionError,
-    as_code,
     canonicalize,
     code_lines,
+    component_count,
     from_framed,
     parse_gauss_code,
     require_ints,
@@ -89,10 +89,9 @@ def lower_bound_link2(code) -> MinimalityCertificate:
 
 def intersection_graph(code) -> InterlacementGraph:
     """Interlacement graph of a one-component code (realizability input)."""
-    c = as_code(code)
-    if c.component_count != 1:
+    if component_count(to_framed(code)) != 1:
         raise PreconditionError("intersection graph requires one component")
-    return interlacement(c)
+    return interlacement(code)
 
 
 # ---------------------------------------------------------------------------

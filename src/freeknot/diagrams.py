@@ -336,7 +336,8 @@ def remove_vertex(mate: list, i: int, pairing: tuple) -> int:
     """Delete vertex ``i`` from an integer matching in place, joining the
     far ends of each slot pair in ``pairing``; returns the number of
     circles this closes, which become free loops.  The slots of ``i`` are
-    left stale: no live half-edge is matched to them any more."""
+    set to -1, which marks it removed, so that two matchings that differ
+    only in the old slots of removed vertices compare equal."""
     closed = 0
     for s, t in pairing:
         a, b = mate[4 * i + s], mate[4 * i + t]
@@ -344,6 +345,7 @@ def remove_vertex(mate: list, i: int, pairing: tuple) -> int:
             closed += 1
         else:
             mate[a], mate[b] = b, a
+    mate[4 * i:4 * i + 4] = (-1, -1, -1, -1)
     return closed
 
 

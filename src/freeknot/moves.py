@@ -41,6 +41,7 @@ from .diagrams import (
     PAIRING_FLAT,
     canonicalize,
     fresh_vertex_ids,
+    remove_vertex,
     renumber,
     splice_out_at,
     thread,
@@ -381,6 +382,40 @@ def apply_move(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
     raise CodeError(f"unknown move kind {m.kind!r}")
 
 
+_NON_OPPOSITE = ((0, 1), (0, 3), (1, 2), (2, 3))
+
+
+def _reduce(mate: list, free_loops: int, rng: random.Random | None = None) -> tuple:
+    """``reduce_r2`` of an integer matching, which it reduces in place.
+
+    A vertex whose slots are -1 has been removed (``remove_vertex``).  Each
+    bigon is spliced out of the list with the flat re-pairing, and only the
+    vertices at the far ends of its two strands, whose edges changed, are
+    checked again; the kept vertices are renumbered once, at the end.
+    Without ``rng`` the vertices are checked lowest first, and with it the
+    next vertex and the order of its slot pairs are drawn at random."""
+    todo = list(range((len(mate) >> 2) - 1, -1, -1))
+    pairs = _NON_OPPOSITE
+    while todo:
+        i = todo.pop() if rng is None else todo.pop(rng.randrange(len(todo)))
+        h = 4 * i
+        if mate[h] < 0:
+            continue
+        if rng is not None:
+            pairs = rng.sample(_NON_OPPOSITE, 4)
+        for s, t in pairs:
+            a, b = mate[h + s], mate[h + t]
+            # two edges to one other vertex, non-opposite at both ends
+            if a >> 2 == b >> 2 != i and a ^ b != 2:
+                ends = mate[h + s ^ 2], mate[h + t ^ 2], mate[a ^ 2], mate[b ^ 2]
+                free_loops += remove_vertex(mate, i, PAIRING_FLAT) + remove_vertex(mate, a >> 2, PAIRING_FLAT)
+                todo.extend([x >> 2 for x in ends if mate[x] >= 0])
+                break
+    kept = [i for i in range(len(mate) >> 2) if mate[4 * i] >= 0]
+    d = FramedDiagram(tuple(kept), renumber(mate, kept), free_loops, validate=False)
+    return canonicalize(d), free_loops > 0
+
+
 def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Random | None = None):
     """Apply decreasing R2 moves until none is possible.
 
@@ -389,14 +424,10 @@ def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Rand
     result has one, as free loops never vanish under these moves.  Each
     move splices out the two vertices of a bigon with the flat re-pairing,
     continuing both strands straight through.  The result is
-    independent of the reduction order (tested, not assumed); the default
-    order takes the first bigon ``_bigons`` gives, ``_rng`` picks among all."""
+    independent of the reduction order (tested, not assumed); ``_rng``
+    draws the order at random."""
     d = to_framed(code)
-    while move := next(_bigons(d.mate), None):
-        if _rng is not None:
-            move = _rng.choice(list(_bigons(d.mate)))
-        d = _apply(d, move)
-    return canonicalize(d), d.free_loops > 0
+    return _reduce(d.mate[:], d.free_loops, _rng)
 
 
 def neighbors(d: FramedDiagram, allow_increase: int = 0) -> list[FramedDiagram]:

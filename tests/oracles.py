@@ -6,7 +6,10 @@ variant in full, smoothings by cyclic word surgery, kink deletion by literal
 letter removal, and the triangle slide by swapping adjacent letter pairs.
 Results are compared canonically.
 The state sums and R2 reduction are also recomputed the plain way, every
-state built by ``resolve`` and reduced one ``apply_r2_decrease`` at a time.
+state built by ``resolve`` and reduced one ``apply_r2_decrease`` at a time,
+and the split smoothing by building both smoothings and counting circles.
+The state sums are also recomputed depth first, every smoothing walked and
+equal states cancelled only at the leaves (``dfs_state_sum``).
 The second-move decrease and the triangle slide are also checked and applied
 on ``(vertex, slot)`` pairs, with edges looked up in ``edges()``.  All five
 moves are also found on the labelled ``edges()`` and applied to a dict
@@ -33,11 +36,12 @@ import itertools
 from typing import Iterator
 
 from freeknot.analysis import SearchReport
-from freeknot.brackets import resolve, split_smoothing
+from freeknot.brackets import STATE_SUM_MAX_EVENS, resolve
 from freeknot.diagrams import (
     PAIRING_A,
     PAIRING_B,
     PAIRING_FLAT,
+    BudgetError,
     CanonicalCode,
     CodeError,
     FramedDiagram,
@@ -45,9 +49,12 @@ from freeknot.diagrams import (
     PreconditionError,
     as_code,
     canonicalize,
+    circles,
     component_count,
     enumerate_codes,
     from_framed,
+    remove_vertex,
+    renumber,
     splice_out,
     to_framed,
 )
@@ -61,6 +68,7 @@ from freeknot.moves import (
     find_r1,
     find_r2,
     find_r3,
+    reduce_r2,
 )
 from freeknot.parity import (
     COMPONENT,
@@ -606,6 +614,83 @@ def naive_state_sum(d, even_vertices, keep) -> set:
     return support
 
 
+def naive_split_smoothing(d: FramedDiagram, v) -> FramedDiagram:
+    """The splitting smoothing by building both smoothings at ``v`` and
+    counting their components."""
+    n = component_count(d)
+    results = [splice_out(d, {v: pairing}) for pairing in (PAIRING_A, PAIRING_B)]
+    hits = [r for r in results if component_count(r) == n + 1]
+    if len(hits) != 1:
+        raise CodeError(f"expected exactly one splitting smoothing at {v!r}, got {len(hits)}")
+    return hits[0]
+
+
+def _dfs_smoothings(mate: list, evens: range, loops: int, max_loops: int):
+    """Yield ``(mate, loops)`` for every smoothing of the vertices ``evens``
+    of a matching that ends with at most ``max_loops`` free loops.  Vertices
+    are smoothed depth first, each on a copy of its parent's matching; a
+    branch is cut at its first excess loop, as smoothing never touches a
+    circle that has no crossings on it, so free loops are permanent."""
+    stack = [(mate, 0, loops)] if loops <= max_loops else []
+    while stack:
+        m, depth, loops = stack.pop()
+        if depth == len(evens):
+            yield m, loops
+            continue
+        for pairing in (PAIRING_A, PAIRING_B):
+            child = m[:]
+            closed = loops + remove_vertex(child, evens[depth], pairing)
+            if closed <= max_loops:
+                stack.append((child, depth + 1, closed))
+
+
+def dfs_state_sum(d: FramedDiagram, odd: frozenset, knot: bool) -> set:
+    """XOR of reduced states over all smoothings of the vertices not in
+    ``odd``, the even ones.
+
+    ``knot`` keeps the one-component states (``alex_bracket``); otherwise a
+    state is dropped once it carries a free loop, before or during its
+    reduction (``kauffman_bracket``).  Branches that can only lead to
+    dropped states are cut before they are built, equal states cancel in
+    pairs, and a ``FramedDiagram`` is built only for the rest.  Over
+    budget, none is built."""
+    evens = d.vertex_count - len(odd)
+    if evens > STATE_SUM_MAX_EVENS:
+        raise BudgetError(f"{evens} even crossings; "
+                          f"state sums stop at {STATE_SUM_MAX_EVENS}")
+    # the odd vertices stay unsmoothed and come first: a state is a prefix of the matching
+    order = sorted(range(d.vertex_count), key=lambda i: d.labels[i] not in odd)
+    mate = renumber(d.mate, order)
+    labels = tuple(d.labels[i] for i in order)
+    live = len(odd)
+    # an unsmoothed crossing lies on a circle, and a knot state keeps one
+    # component, so it may gain a free loop only when every crossing is smoothed
+    max_loops = 1 if knot and not live else 0
+    odd: set = set()
+    for m, loops in _dfs_smoothings(mate, range(live, len(labels)), d.free_loops, max_loops):
+        state = tuple(m[:4 * live])
+        if not knot or loops + len(circles(state)) == 1:
+            odd ^= {(state, loops)}
+    support: set = set()
+    for m, loops in odd:
+        reduced, saw = reduce_r2(FramedDiagram(labels[:live], list(m), loops, validate=False))
+        if knot or not saw:
+            support ^= {reduced}
+    return support
+
+
+def dfs_alex_bracket(code) -> set:
+    """Support of ``alex_bracket`` by the depth-first sum."""
+    d = to_framed(code)
+    return dfs_state_sum(d, naive_gaussian_parity(d).odd, knot=True)
+
+
+def dfs_kauffman_bracket(code) -> set:
+    """Support of ``kauffman_bracket`` by the depth-first sum."""
+    d = to_framed(code)
+    return dfs_state_sum(d, naive_component_parity(d).odd, knot=False)
+
+
 def _evens(d, par) -> list:
     return [v for v in d.vertices() if not par.is_odd(v)]
 
@@ -624,18 +709,19 @@ def naive_kauffman_bracket(code) -> set:
                            lambda state, reduced, saw: not saw)
 
 
-def naive_kdelta(code) -> set:
-    """Support of ``kdelta``: the two-bracket over the split terms, each
-    split reduced by ``naive_reduce_r2``."""
+def naive_kdelta(code, bracket=naive_kauffman_bracket) -> set:
+    """Support of ``kdelta``: the two-bracket ``bracket`` over the split
+    terms, each split built by ``naive_split_smoothing`` and reduced by
+    ``naive_reduce_r2``."""
     d = to_framed(code)
     terms: set = set()
     for v in d.vertices():
-        reduced, saw = naive_reduce_r2(split_smoothing(d, v))
+        reduced, saw = naive_reduce_r2(naive_split_smoothing(d, v))
         if not saw:
             terms ^= {reduced}
     total: set = set()
     for t in terms:
-        total ^= naive_kauffman_bracket(t)
+        total ^= bracket(t)
     return total
 
 

@@ -158,6 +158,21 @@ def test_intersection_graph_requires_one_component():
         intersection_graph(code("a b | a b"))
 
 
+def test_intersection_graph_of_a_framed_graph_builds_no_code(monkeypatch):
+    builds = []
+    post_init = GaussCode.__post_init__
+    k1 = to_framed(load_fixture("k1"))
+    expected = intersection_graph(load_fixture("k1"))
+
+    def counting(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GaussCode, "__post_init__", counting)
+    assert intersection_graph(k1) == expected
+    assert builds == []
+
+
 # ---------------------------------------------------------------------------
 # search
 

@@ -30,9 +30,17 @@ from freeknot.diagrams import (
     parse_gauss_code,
     to_framed,
 )
-from freeknot.moves import apply_r1_increase, reduce_r2
-from freeknot.parity import gaussian_parity
-from oracles import naive_alex_bracket, naive_kauffman_bracket, naive_kdelta, word_smooth
+from freeknot.moves import _reduce, apply_r1_increase, reduce_r2
+from freeknot.parity import component_parity, gaussian_parity
+from oracles import (
+    dfs_alex_bracket,
+    dfs_kauffman_bracket,
+    naive_alex_bracket,
+    naive_kauffman_bracket,
+    naive_kdelta,
+    naive_split_smoothing,
+    word_smooth,
+)
 
 
 def code(t):
@@ -325,6 +333,46 @@ def test_state_sums_match_the_every_state_oracle_exhaustive_small():
         assert kauffman_bracket(c).terms == naive_kauffman_bracket(c), str(c)
 
 
+def _seeded(k: int, chords: range, max_evens: int, parity, count: int, seed: int) -> list:
+    """``count`` seeded random ``k``-circle codes with at most ``max_evens``
+    even chords under ``parity``."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        c = random_diagram(rng.choice(chords), k, rng)
+        if c.chord_count - len(parity(c).odd) <= max_evens:
+            out.append(c)
+    return out
+
+
+def test_state_sums_match_the_depth_first_oracle():
+    knots = [c for n in range(0, 6) for c in enumerate_codes(n, 1)] + [load_fixture("k1")]
+    knots += _seeded(1, range(14, 17), 12, gaussian_parity, 5, 2)
+    for c in knots:
+        assert alex_bracket(c).terms == dfs_alex_bracket(c), str(c)
+        assert kdelta(c).terms == naive_kdelta(c, dfs_kauffman_bracket), str(c)
+    links = [c for n in range(0, 6) for c in enumerate_codes(n, 2)]
+    links += [load_fixture("l1"), code("a a | O"), code("a b a b | O")]
+    links += _seeded(2, range(18, 23), 16, component_parity, 20, 3)
+    for c in links:
+        assert kauffman_bracket(c).terms == dfs_kauffman_bracket(c), str(c)
+
+
+def test_split_smoothing_matches_the_counting_oracle():
+    for k in (1, 2):
+        for n in range(1, 6):
+            for can in enumerate_codes(n, k):
+                d = to_framed(can)
+                for v in d.vertices():
+                    try:
+                        expected = naive_split_smoothing(d, v)
+                    except CodeError as e:
+                        with pytest.raises(CodeError, match=f"^{e}$"):
+                            split_smoothing(d, v)
+                    else:
+                        assert split_smoothing(d, v) == expected, (str(can), v)
+
+
 # ---------------------------------------------------------------------------
 # the state-sum budget
 
@@ -344,6 +392,7 @@ def _no_states(*args):
 def test_state_sums_refuse_beyond_the_budget_before_any_state(monkeypatch):
     assert STATE_SUM_MAX_EVENS == 20
     monkeypatch.setattr(brackets, "_smoothings", _no_states)
+    monkeypatch.setattr(brackets, "_levels", _no_states)
     with pytest.raises(BudgetError, match="^21 even crossings; state sums stop at 20$"):
         alex_bracket(code(KINKS_21))
     with pytest.raises(BudgetError, match="^21 even crossings"):
@@ -370,9 +419,9 @@ def _count_reductions(monkeypatch) -> list:
 
     def counting(*args):
         calls.append(args)
-        return reduce_r2(*args)
+        return _reduce(*args)
 
-    monkeypatch.setattr(brackets, "reduce_r2", counting)
+    monkeypatch.setattr(brackets, "_reduce", counting)
     return calls
 
 

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under ``scripts/``.  The fixture search in
 ``scripts/find_fixtures.py`` is run by the fixture tests, which import it."""
 
+import json
 import subprocess
 import sys
 
@@ -21,3 +22,17 @@ def test_survey_counts_the_one_circle_classes(repo_root):
         ["4", "17", "4", "5", "3", "0", "0:17"],
         ["5", "79", "22", "17", "0", "0", "0:76", "3:3"],
     ]
+
+
+def test_state_sum_bench_prints_one_line_of_medians(repo_root):
+    script = repo_root / "scripts" / "bench_state_sums.py"
+    run = subprocess.run([sys.executable, str(script), "--chords", "8", "--evens", "2", "4",
+                          "--seed", "2", "--repeat", "2"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    (line,) = run.stdout.splitlines()
+    out = json.loads(line)
+    assert {k: out[k] for k in ("chords", "evens", "seed", "repeat")} == {
+        "chords": 8, "evens": [2, 4], "seed": 2, "repeat": 2}
+    assert sorted(out["median_s"]) == ["alex_bracket", "kauffman_bracket", "kdelta"]
+    assert all(t >= 0 for t in out["median_s"].values())
