@@ -8,8 +8,12 @@ the state-sum budget), and a two-circle diagram with that many
 component-even chords for ``kauffman_bracket``.  Each bracket is timed over
 all its inputs ``--repeat`` times, with the canonical-form cache cleared
 before every call, and the run prints one JSON line with the median time
-of each.  It imports the package from the checkout it lives in, so running
-it from two checkouts compares them.
+of each.  The brackets delete every kink and bigon of their input before
+they sum it, so the line also gives, per bracket and input, the chords and
+the even chords left to sum: for ``kdelta``, the chords left of the knot
+and the most even chords left in any delta term it sums.  It imports the
+package from the checkout it lives in, so running it from two checkouts
+compares them.
 
 Usage: python scripts/bench_state_sums.py [--chords N] [--evens E ...]
                                           [--seed S] [--repeat R]
@@ -27,16 +31,32 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from freeknot.analysis import random_diagram  # noqa: E402
 from freeknot.brackets import STATE_SUM_MAX_EVENS, alex_bracket, delta, kauffman_bracket, kdelta  # noqa: E402
-from freeknot.diagrams import canonicalize  # noqa: E402
+from freeknot.diagrams import canonicalize, to_framed  # noqa: E402
+from freeknot.moves import _untangle  # noqa: E402
 from freeknot.parity import component_parity, gaussian_parity  # noqa: E402
 
 
 def evens(code, parity) -> int:
-    return code.chord_count - len(parity(code).odd)
+    p = parity(code)
+    return len(p.chords) - len(p.odd)
+
+
+def left(code, parity) -> tuple[int, int]:
+    """The chords and the even chords under ``parity`` that the brackets
+    sum: those of ``code`` with every kink and bigon deleted."""
+    d = _untangle(to_framed(code))
+    return d.vertex_count, evens(d, parity)
+
+
+def kdelta_left(code) -> tuple[int, int]:
+    """The chords left of a knot, and the most even chords left in any of
+    the delta terms that ``kdelta`` sums."""
+    d = _untangle(to_framed(code))
+    return d.vertex_count, max((left(t, component_parity)[1] for t in delta(d).terms), default=0)
 
 
 def within_budget(code) -> bool:
-    return all(evens(t, component_parity) <= STATE_SUM_MAX_EVENS for t in delta(code).terms)
+    return kdelta_left(code)[1] <= STATE_SUM_MAX_EVENS
 
 
 def draw(rng: random.Random, chords: int, circles: int, parity, count: int, ok=lambda c: True):
@@ -61,11 +81,13 @@ def main() -> int:
     rng = random.Random(args.seed)
     knots = [draw(rng, args.chords, 1, gaussian_parity, e, within_budget) for e in args.evens]
     links = [draw(rng, args.chords, 2, component_parity, e) for e in args.evens]
-    brackets = {"alex_bracket": (alex_bracket, knots),
-                "kauffman_bracket": (kauffman_bracket, links),
-                "kdelta": (kdelta, knots)}
-    medians = {}
-    for name, (bracket, inputs) in brackets.items():
+    brackets = {"alex_bracket": (alex_bracket, knots, lambda c: left(c, gaussian_parity)),
+                "kauffman_bracket": (kauffman_bracket, links, lambda c: left(c, component_parity)),
+                "kdelta": (kdelta, knots, kdelta_left)}
+    medians, lefts = {}, {}
+    for name, (bracket, inputs, leaves) in brackets.items():
+        chords, counts = zip(*map(leaves, inputs))
+        lefts[name] = {"chords": chords, "evens": counts}
         times = []
         for _ in range(args.repeat):
             total = 0.0
@@ -77,7 +99,7 @@ def main() -> int:
             times.append(total)
         medians[name] = round(statistics.median(times), 6)
     print(json.dumps({"chords": args.chords, "evens": args.evens, "seed": args.seed,
-                      "repeat": args.repeat, "median_s": medians}))
+                      "repeat": args.repeat, "median_s": medians, "left": lefts}))
     return 0
 
 

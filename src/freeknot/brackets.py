@@ -12,6 +12,14 @@ the one-component states; ``kauffman_bracket`` smooths every
 component-parity-even crossing of a two-component diagram and drops states
 that acquire a free loop; ``kdelta`` composes the last two linearly.
 
+The three brackets are invariant under all three moves, so each first
+deletes every kink and bigon of its input (``moves._untangle``) and sums
+what is left; ``kdelta`` deletes them from the knot before it splits it.
+The deletions keep the parity of every kept chord, so the parities are
+read off the smaller diagram, and the budget counts its even crossings.
+``delta`` and each state are reduced by the second move only: delta's
+support is not move-invariant, and a state's kinks are part of its term.
+
 The sums work on the integer matching of the framed graph.  A link sum
 smooths one even crossing at a time over a whole level of partial states,
 kept mod 2, so that equal partial states cancel before they are expanded;
@@ -38,7 +46,7 @@ from .diagrams import (
     splice_out,
     to_framed,
 )
-from .moves import _reduce, find_r2
+from .moves import _reduce, _untangle, find_r2
 from .parity import component_parity, gaussian_parity
 
 CTX_KNOT = "knot"
@@ -48,10 +56,11 @@ CTX_LINK2 = "link2"
 #: the two smoothing selectors: A joins slots (0,1),(2,3); B joins (0,3),(1,2)
 SMOOTHING_PAIRINGS = {"A": PAIRING_A, "B": PAIRING_B}
 
-#: most even crossings a state sum smooths (2^20 states): seeded random 24-chord
-#: inputs with 20 take 0.3-1.8 s for ``alex_bracket`` (233-941 states reduced)
-#: and 0.01-0.05 s for ``kauffman_bracket``, whose states cancel level by level;
-#: a sum whose states are all distinct and loop-free pays one reduction per state
+#: most even crossings a state sum smooths (2^20 states), counted once every
+#: kink and bigon is deleted: seeded random kink- and bigon-free 24-chord inputs
+#: with 20 take 1.6-3.2 s for ``alex_bracket`` and 0.04-0.6 s for
+#: ``kauffman_bracket``, whose states cancel level by level; a sum whose
+#: states are all distinct and loop-free pays one reduction per state
 STATE_SUM_MAX_EVENS = 20
 
 
@@ -186,7 +195,9 @@ def delta(code) -> FormalSum:
     moves.  Two supports are equal as invariants when their difference
     cancels by moves; the composition ``kdelta`` reads them through the
     two-component bracket, a full move invariant, and so is compared by
-    equality."""
+    equality.  For the same reason ``delta`` sums its input as it is, kinks
+    and bigons included: ``"a a b c c b"`` has the term ``"a a | b b"``,
+    which ``"b c c b"``, the same free knot without the kink ``a``, lacks."""
     support: set = set()
     for _, reduced, saw in delta_terms(code):
         if saw:
@@ -253,7 +264,10 @@ def _state_sum(d: FramedDiagram, odd: frozenset, knot: bool) -> set:
     reduction (``kauffman_bracket``).  Branches that can only lead to
     dropped states are cut before they are built, equal states cancel in
     pairs, and only the rest are reduced, each on its integer matching.
-    Over budget, no state is built.
+    Over budget, no state is built.  The brackets pass ``d`` with every kink
+    and bigon deleted, so the budget counts the even crossings left, and
+    each one deleted halves the states; a state keeps its kinks, as they
+    are part of its term, and is reduced by the second move only.
 
     A link sum smooths level by level (``_levels``), so that equal partial
     states cancel before they are expanded; a knot sum walks the tree depth
@@ -295,8 +309,9 @@ def _state_sum(d: FramedDiagram, odd: frozenset, knot: bool) -> set:
 def alex_bracket(code) -> FormalSum:
     """Smooth all Gaussian-even crossings, keep one-component states, reduce;
     valued in ``knot``.  With every crossing odd the sum is the single term
-    given by reducing the diagram itself.  Budget: ``STATE_SUM_MAX_EVENS``."""
-    d = _framed(code, 1, "alex_bracket")
+    given by reducing the diagram itself.  Summed once every kink and bigon
+    is deleted.  Budget: ``STATE_SUM_MAX_EVENS``."""
+    d = _untangle(_framed(code, 1, "alex_bracket"))
     support = _state_sum(d, gaussian_parity(d).odd, knot=True)
     return FormalSum(frozenset(support), CTX_KNOT, validate=False)
 
@@ -304,16 +319,19 @@ def alex_bracket(code) -> FormalSum:
 def kauffman_bracket(code) -> FormalSum:
     """Smooth all component-parity-even crossings of a two-component
     diagram; every state is kept unless it acquires a free loop; valued in
-    ``link``.  Budget: ``STATE_SUM_MAX_EVENS``."""
-    d = _framed(code, 2, "kauffman_bracket")
+    ``link``.  Summed once every kink and bigon is deleted.  Budget:
+    ``STATE_SUM_MAX_EVENS``."""
+    d = _untangle(_framed(code, 2, "kauffman_bracket"))
     support = _state_sum(d, component_parity(d).odd, knot=False)
     return FormalSum(frozenset(support), CTX_LINK, validate=False)
 
 
 def kdelta(code) -> FormalSum:
     """Linear extension of the two-component bracket along ``delta``:
-    XOR of ``kauffman_bracket`` over the delta terms, in ``link``."""
-    d = _framed(code, 1, "kdelta")
+    XOR of ``kauffman_bracket`` over the delta terms, in ``link``.  The
+    knot's kinks and bigons are deleted before it is split, which may
+    change the terms but not the sum of their brackets."""
+    d = _untangle(_framed(code, 1, "kdelta"))
     total = formal_sum(CTX_LINK)
     for term in delta(d).terms:
         total ^= kauffman_bracket(term)

@@ -416,6 +416,45 @@ def _reduce(mate: list, free_loops: int, rng: random.Random | None = None) -> tu
     return canonicalize(d), free_loops > 0
 
 
+def _untangle(d: FramedDiagram) -> FramedDiagram:
+    """``d`` with every kink and bigon deleted, for the brackets, which no
+    move changes.
+
+    Like ``_reduce``, it works on one copy of the integer matching in place:
+    a kink's vertex is removed by the pairing that does not close its loop,
+    a bigon's two vertices by the flat one, and only the vertices whose
+    edges changed are checked again.  The kept vertices are renumbered once
+    and keep their labels; no canonical form is built.  Neither deletion
+    changes which kept chords a kept chord interlaces, or which circles its
+    passages lie on, so every kept chord keeps its Gaussian and its
+    component parity."""
+    mate, free_loops = d.mate[:], d.free_loops
+    todo = list(range(d.vertex_count - 1, -1, -1))
+    while todo:
+        i = todo.pop()
+        h = 4 * i
+        if mate[h] < 0:
+            continue
+        ends = mate[h:h + 4]
+        # a kink: an edge joining two non-opposite slots of ``i``
+        kink = next((x ^ g for x, g in enumerate(ends, h) if g >> 2 == i and g ^ x != 2), 0)
+        if kink:
+            free_loops += remove_vertex(mate, i, PAIRING_B if kink == 1 else PAIRING_A)
+        else:
+            for s, t in _NON_OPPOSITE:
+                a, b = ends[s], ends[t]
+                if a >> 2 == b >> 2 != i and a ^ b != 2:
+                    ends += mate[a ^ 2], mate[b ^ 2]
+                    free_loops += (remove_vertex(mate, i, PAIRING_FLAT)
+                                   + remove_vertex(mate, a >> 2, PAIRING_FLAT))
+                    break
+            else:
+                continue
+        todo.extend([x >> 2 for x in ends if mate[x] >= 0])
+    kept = [i for i in range(d.vertex_count) if mate[4 * i] >= 0]
+    return FramedDiagram(tuple(d.labels[i] for i in kept), renumber(mate, kept), free_loops, validate=False)
+
+
 def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Random | None = None):
     """Apply decreasing R2 moves until none is possible.
 
@@ -425,7 +464,9 @@ def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Rand
     move splices out the two vertices of a bigon with the flat re-pairing,
     continuing both strands straight through.  The result is
     independent of the reduction order (tested, not assumed); ``_rng``
-    draws the order at random."""
+    draws the order at random.  Kinks are kept: the state sums and
+    ``delta`` reduce their terms by this, and a term's kinks are part of
+    it.  ``_untangle`` deletes kinks too, for the brackets' input."""
     d = to_framed(code)
     return _reduce(d.mate[:], d.free_loops, _rng)
 

@@ -30,7 +30,7 @@ from freeknot.diagrams import (
     parse_gauss_code,
     to_framed,
 )
-from freeknot.moves import _reduce, apply_r1_increase, reduce_r2
+from freeknot.moves import _reduce, _untangle, apply_r1_increase, find_r1, find_r2, reduce_r2
 from freeknot.parity import component_parity, gaussian_parity
 from oracles import (
     dfs_alex_bracket,
@@ -204,6 +204,14 @@ def test_delta_is_only_an_r2_class_function_not_a_full_invariant():
     assert kdelta(plain) == kdelta(kinked) == formal_sum(CTX_LINK)
 
 
+def test_delta_keeps_the_kinks_the_brackets_delete():
+    # delta sums its input as it is: with the kink deleted first, as the
+    # brackets do, its term a a | b b would be lost
+    kinked = code("a a b c c b")
+    assert terms_of(delta(kinked)) == [str(canon("a a | b b"))]
+    assert delta(_untangle(to_framed(kinked))).terms == frozenset()
+
+
 # ---------------------------------------------------------------------------
 # alex bracket
 
@@ -358,6 +366,23 @@ def test_state_sums_match_the_depth_first_oracle():
         assert kauffman_bracket(c).terms == dfs_kauffman_bracket(c), str(c)
 
 
+def test_brackets_match_the_depth_first_oracle_on_a_moved_copy():
+    # the brackets sum their input with every kink and bigon deleted; the
+    # oracle sums a copy scrambled by moves as it is, so this tests the
+    # brackets' move invariance apart from that pre-pass
+    rng = random.Random(19)
+    for k in (1, 2):
+        for _ in range(400):
+            n = rng.randint(2, 10)
+            c = random_diagram(n, k, rng)
+            moved = random_moves(c, rng.randint(1, 6), n + 3, rng)
+            if k == 1:
+                assert alex_bracket(c).terms == dfs_alex_bracket(moved), (str(c), str(moved))
+                assert kdelta(c).terms == naive_kdelta(moved, dfs_kauffman_bracket), (str(c), str(moved))
+            else:
+                assert kauffman_bracket(c).terms == dfs_kauffman_bracket(moved), (str(c), str(moved))
+
+
 def test_split_smoothing_matches_the_counting_oracle():
     for k in (1, 2):
         for n in range(1, 6):
@@ -382,7 +407,27 @@ def kinks(labels):
     return " ".join(f"{c} {c}" for c in labels)
 
 
-KINKS_21 = kinks("abcdefghijklmnopqrstu")
+def tight(text):
+    """The code of ``text``, which must have no kink and no bigon, so that
+    the brackets sum all of it."""
+    c = code(text)
+    assert not find_r1(to_framed(c)) and not find_r2(to_framed(c)), text
+    return c
+
+
+# the first kink- and bigon-free draws of ``random_diagram(n, k, random.Random(2))``
+# with the even chord count named, under Gaussian parity for one circle and
+# component parity for two
+EVENS_21_KNOT = ("a b c d e f g h i j k l m n o p q j r s h t n u v m u a l i p c w x d s "
+                 "o q t k f r b e w g y v x y")  # 25 chords
+EVENS_21_LINK = ("a b c d e f g h i j k l m n l e o d p o q c r s t s q g u f a p j v m v "
+                 "k n u w t h w b | r i")  # 23 chords
+EVENS_2_KNOT = "a b c d b e f e a c f d"  # 6 chords
+EVENS_3_KNOT = "a b c d b e d e a c"  # 5 chords
+#: five relabelled copies of the block d b e c d e a b a c: its delta has two
+#: terms, links of 22 and 24 chords with 21 component-even ones each.  A
+#: random knot's delta terms spread too widely for all to be over budget.
+EVENS_21_DELTA = " ".join(chr(97 + 5 * j + x) for j in range(5) for x in (3, 1, 4, 2, 3, 4, 0, 1, 0, 2))
 
 
 def _no_states(*args):
@@ -394,24 +439,33 @@ def test_state_sums_refuse_beyond_the_budget_before_any_state(monkeypatch):
     monkeypatch.setattr(brackets, "_smoothings", _no_states)
     monkeypatch.setattr(brackets, "_levels", _no_states)
     with pytest.raises(BudgetError, match="^21 even crossings; state sums stop at 20$"):
-        alex_bracket(code(KINKS_21))
+        alex_bracket(tight(EVENS_21_KNOT))
     with pytest.raises(BudgetError, match="^21 even crossings"):
-        kauffman_bracket(code(KINKS_21 + " | O"))
-    # delta splits this at x and at y into two 22-chord links whose 21 kinks
-    # are all even under component parity
+        kauffman_bracket(tight(EVENS_21_LINK))
+    # each of the two terms delta leaves is a link with 21 component-even chords
     with pytest.raises(BudgetError, match="^21 even crossings"):
-        kdelta(code(f"x {kinks('abcdefghij')} y x y {kinks('klmnopqrstu')}"))
+        kdelta(tight(EVENS_21_DELTA))
 
 
 def test_state_sum_budget_is_inclusive(monkeypatch):
     monkeypatch.setattr(brackets, "STATE_SUM_MAX_EVENS", 2)
-    assert terms_of(alex_bracket(code(kinks("ab")))) == ["O"]
+    assert terms_of(alex_bracket(tight(EVENS_2_KNOT))) == ["O"]
     with pytest.raises(BudgetError, match="^3 even crossings; state sums stop at 2$"):
-        alex_bracket(code(kinks("abc")))
+        alex_bracket(tight(EVENS_3_KNOT))
+
+
+def test_state_sum_budget_counts_what_is_left_after_kinks_and_bigons():
+    # 21 kinks; and 21 chords that each cross the other 20, which bigons
+    # delete two at a time down to one kink: 21 even chords, none summed
+    labels = "abcdefghijklmnopqrstu"
+    for text in (kinks(labels), " ".join(labels + labels)):
+        assert not gaussian_parity(code(text)).odd
+        assert terms_of(alex_bracket(code(text))) == ["O"]
 
 
 # ---------------------------------------------------------------------------
-# pruning: states ruled out by their free loops are never reduced
+# pruning: states ruled out by their free loops are never reduced.  The
+# brackets delete every kink before they sum, so these call the sum itself.
 
 
 def _count_reductions(monkeypatch) -> list:
@@ -427,11 +481,13 @@ def _count_reductions(monkeypatch) -> list:
 
 def test_alex_bracket_of_kinks_reduces_at_most_two_states(monkeypatch):
     calls = _count_reductions(monkeypatch)
-    assert terms_of(alex_bracket(code(kinks("abcdefghijkl")))) == ["O"]
+    d = to_framed(code(kinks("abcdefghijkl")))
+    assert sorted(map(str, brackets._state_sum(d, frozenset(), knot=True))) == ["O"]
     assert len(calls) <= 2  # building every state would reduce all 4,096
 
 
 def test_kauffman_bracket_with_a_free_loop_reduces_no_state(monkeypatch):
     calls = _count_reductions(monkeypatch)
-    assert kauffman_bracket(code(kinks("abcdefghijkl") + " | O")).terms == frozenset()
+    d = to_framed(code(kinks("abcdefghijkl") + " | O"))
+    assert brackets._state_sum(d, frozenset(), knot=False) == set()
     assert calls == []

@@ -245,10 +245,19 @@ def test_budget_exit_code(capsys):
 
 
 def test_state_sum_budget_exit_code(capsys):
-    kinks = " ".join(f"{c} {c}" for c in "abcdefghijklmnopqrstu")
-    status, out, err = run(capsys, "abracket", kinks)
+    # kink- and bigon-free, 21 of 25 chords Gaussian-even (tests/test_brackets.py)
+    evens_21 = ("a b c d e f g h i j k l m n o p q j r s h t n u v m u a l i p c w x d s "
+                "o q t k f r b e w g y v x y")
+    status, out, err = run(capsys, "abracket", evens_21)
     assert status == 3 and out == ""
     assert err == "error: 21 even crossings; state sums stop at 20\n"
+
+
+def test_state_sum_budget_counts_no_kink(capsys):
+    kinks = " ".join(f"{c} {c}" for c in "abcdefghijklmnopqrstu")
+    status, out, err = run(capsys, "abracket", kinks)
+    assert status == 0 and err == ""
+    assert out == "O\n"
 
 
 def test_search_budget_exit_code(capsys, monkeypatch):

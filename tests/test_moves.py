@@ -23,6 +23,7 @@ from freeknot.moves import (
     _edge,
     _labelled,
     _moves,
+    _untangle,
     LOOP_SITE,
     LOOP_SITE_2,
     MoveInstance,
@@ -41,6 +42,7 @@ from freeknot.moves import (
     neighbors,
     reduce_r2,
 )
+from freeknot.parity import component_parity, gaussian_parity
 from oracles import (
     find_word_triangles,
     kink_delete,
@@ -283,6 +285,31 @@ def test_an_absent_or_incomparable_vertex_is_a_code_error(text, absent):
 
 
 # ---------------------------------------------------------------------------
+# deleting every kink and bigon
+
+
+def _untangle_cases():
+    """Every class with at most 6 chords on 1-2 circles, and 300 seeded
+    random diagrams with 4-10 chords scrambled by up to 6 moves."""
+    yield from (can for k in (1, 2) for n in range(7) for can in enumerate_codes(n, k))
+    rng = random.Random(19)
+    for _ in range(300):
+        n, k = rng.randint(4, 10), rng.randint(1, 2)
+        yield random_moves(random_diagram(n, k, rng), rng.randint(1, 6), n + 2, rng)
+
+
+def test_untangle_leaves_no_kink_or_bigon_and_keeps_every_parity():
+    for c in _untangle_cases():
+        d = to_framed(c)
+        u = _untangle(d)
+        assert not find_r1(u) and not find_r2(u), str(c)
+        assert component_count(u) == component_count(d), str(c)
+        assert set(u.labels) <= set(d.labels), str(c)
+        parity = gaussian_parity if component_count(d) == 1 else component_parity
+        assert parity(u).odd == parity(d).odd & set(u.labels), str(c)
+
+
+# ---------------------------------------------------------------------------
 # reduce_r2
 
 
@@ -294,6 +321,14 @@ def test_reduce_crossed_pair_gives_free_loop():
 def test_reduce_kink_is_kept():
     can, saw = reduce_r2(code("a a"))
     assert can == canonicalize(code("a a")) and saw is False
+
+
+def test_reduce_keeps_the_kink_a_bigon_leaves():
+    # a state's kinks are part of its term, so the state sums reduce by the
+    # second move only; the brackets' pre-pass deletes kinks too
+    c = code("a b a b c c")
+    assert reduce_r2(c) == (canonicalize(code("a a")), False)
+    assert str(canonicalize(_untangle(to_framed(c)))) == "O"
 
 
 def test_reduce_flat_trefoil_by_slot_level_oracle():

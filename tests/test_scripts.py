@@ -27,12 +27,17 @@ def test_survey_counts_the_one_circle_classes(repo_root):
 def test_state_sum_bench_prints_one_line_of_medians(repo_root):
     script = repo_root / "scripts" / "bench_state_sums.py"
     run = subprocess.run([sys.executable, str(script), "--chords", "8", "--evens", "2", "4",
-                          "--seed", "2", "--repeat", "2"],
+                          "--seed", "1", "--repeat", "2"],
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     (line,) = run.stdout.splitlines()
     out = json.loads(line)
     assert {k: out[k] for k in ("chords", "evens", "seed", "repeat")} == {
-        "chords": 8, "evens": [2, 4], "seed": 2, "repeat": 2}
+        "chords": 8, "evens": [2, 4], "seed": 1, "repeat": 2}
     assert sorted(out["median_s"]) == ["alex_bracket", "kauffman_bracket", "kdelta"]
     assert all(t >= 0 for t in out["median_s"].values())
+    # the chords and even chords left once every kink and bigon is deleted;
+    # for kdelta, the most evens left in a delta term
+    assert out["left"] == {"alex_bracket": {"chords": [6, 5], "evens": [2, 1]},
+                           "kauffman_bracket": {"chords": [3, 6], "evens": [1, 4]},
+                           "kdelta": {"chords": [6, 5], "evens": [4, 2]}}
