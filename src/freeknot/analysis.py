@@ -62,28 +62,27 @@ class MinimalityCertificate:
     tight: bool
 
 
+def _largest(s) -> tuple[int, CanonicalCode | None]:
+    """The chord count and the greatest of a sum's largest terms; 0, None if empty."""
+    return max(((t.chord_count, t) for t in s.terms), default=(0, None))
+
+
 def lower_bound_knot(code) -> MinimalityCertificate:
     """max(largest one-component bracket term, largest composed-bracket term
     plus one); empty sums contribute zero."""
     can = canonicalize(code)
-    a = alex_bracket(code)
-    kd = kdelta(code)
-    a_bound = a.max_term_vertices()
-    kd_bound = kd.max_term_vertices() + 1 if kd.terms else 0
-    if kd_bound > a_bound:
-        bound, name, sum_ = kd_bound, "kdelta", kd
+    (a_bound, a), (kd_bound, kd) = _largest(alex_bracket(code)), _largest(kdelta(code))
+    if kd is not None and kd_bound + 1 > a_bound:
+        bound, name, witness = kd_bound + 1, "kdelta", kd
     else:
-        bound, name, sum_ = a_bound, "alex", a
-    witness = max(sum_.terms, key=lambda t: (t.chord_count, t)) if sum_.terms else None
+        bound, name, witness = a_bound, "alex", a
     return MinimalityCertificate(can, bound, name, witness, bound == can.chord_count)
 
 
 def lower_bound_link2(code) -> MinimalityCertificate:
     """Largest term of the two-component bracket."""
     can = canonicalize(code)
-    kb = kauffman_bracket(code)
-    bound = kb.max_term_vertices()
-    witness = max(kb.terms, key=lambda t: (t.chord_count, t)) if kb.terms else None
+    bound, witness = _largest(kauffman_bracket(code))
     return MinimalityCertificate(can, bound, "kauffman", witness, bound == can.chord_count)
 
 

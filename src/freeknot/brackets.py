@@ -25,7 +25,10 @@ smooths one even crossing at a time over a whole level of partial states,
 kept mod 2, so that equal partial states cancel before they are expanded;
 a knot sum, whose states barely cancel, walks the smoothings depth first.
 Each surviving state is R2-reduced in place by ``moves._reduce``, and so is
-each split of ``delta``, whose smoothing is picked by one walk of its circle.
+each split of ``delta``, whose smoothing is picked by one walk of its circle;
+a reduced term carries a free loop when its canonical code does.
+``_reduce`` and ``_untangle`` are one in-place pass, ``moves._decrease``,
+which deletes bigons, and kinks only for ``_untangle``.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ class FormalSum:
     """GF(2) combination of canonical reduced diagrams: membership in
     ``terms`` is coefficient 1, addition is symmetric difference.
     ``validate=False`` skips the member checks; the invariants pass it, as
-    their terms are ``reduce_r2`` outputs already filtered for the context."""
+    their terms are R2-reduced canonical codes (``moves._reduce``) already
+    filtered for the context."""
 
     terms: frozenset
     context: str
@@ -93,10 +97,6 @@ class FormalSum:
 
     def sorted_terms(self) -> list[CanonicalCode]:
         return sorted(self.terms)
-
-    def max_term_vertices(self) -> int:
-        """Largest vertex count over the support; 0 for the empty sum."""
-        return max((t.chord_count for t in self.terms), default=0)
 
 
 def _check_member(t: CanonicalCode, context: str):
@@ -177,9 +177,8 @@ def delta_terms(code) -> list[tuple]:
     out = []
     for i, v in enumerate(d.labels):
         mate = d.mate[:]
-        loops = d.free_loops + remove_vertex(mate, i, _split_pairing(d.mate, i))
-        reduced, saw = _reduce(mate, loops)
-        out.append((v, reduced, saw))
+        reduced = _reduce(mate, d.free_loops + remove_vertex(mate, i, _split_pairing(d.mate, i)))
+        out.append((v, reduced, reduced.free_loops > 0))
     return out
 
 
@@ -300,8 +299,8 @@ def _state_sum(d: FramedDiagram, odd: frozenset, knot: bool) -> set:
         states = {(m[:4 * live], loops) for m, loops in _levels(mate, smoothed, d.free_loops)}
     support: set = set()
     for state, loops in states:
-        reduced, saw = _reduce(list(state), loops)
-        if knot or not saw:
+        reduced = _reduce(list(state), loops)
+        if knot or not reduced.free_loops:
             support ^= {reduced}
     return support
 

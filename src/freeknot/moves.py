@@ -28,7 +28,6 @@ which move into label order only when a fresh id sorts before an old label.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 
 from .diagrams import (
@@ -385,51 +384,17 @@ def apply_move(d: FramedDiagram, m: MoveInstance) -> FramedDiagram:
 _NON_OPPOSITE = ((0, 1), (0, 3), (1, 2), (2, 3))
 
 
-def _reduce(mate: list, free_loops: int, rng: random.Random | None = None) -> tuple:
-    """``reduce_r2`` of an integer matching, which it reduces in place.
+def _decrease(mate: list, free_loops: int, kinks: bool) -> FramedDiagram:
+    """The diagram ``mate``, ``free_loops`` with every bigon deleted, and
+    every kink too when ``kinks``; ``mate`` is reduced in place.
 
-    A vertex whose slots are -1 has been removed (``remove_vertex``).  Each
-    bigon is spliced out of the list with the flat re-pairing, and only the
-    vertices at the far ends of its two strands, whose edges changed, are
-    checked again; the kept vertices are renumbered once, at the end.
-    Without ``rng`` the vertices are checked lowest first, and with it the
-    next vertex and the order of its slot pairs are drawn at random."""
+    This is the one loop that deletes either.  A bigon's two vertices are
+    removed with the flat pairing, a kink's vertex with the pairing that
+    does not close its loop (``remove_vertex``, which marks a removed
+    vertex's slots -1).  Vertices are checked lowest first, and after a
+    deletion only those whose edges changed are checked again.  The kept
+    vertices are renumbered once and labelled by their old numbers."""
     todo = list(range((len(mate) >> 2) - 1, -1, -1))
-    pairs = _NON_OPPOSITE
-    while todo:
-        i = todo.pop() if rng is None else todo.pop(rng.randrange(len(todo)))
-        h = 4 * i
-        if mate[h] < 0:
-            continue
-        if rng is not None:
-            pairs = rng.sample(_NON_OPPOSITE, 4)
-        for s, t in pairs:
-            a, b = mate[h + s], mate[h + t]
-            # two edges to one other vertex, non-opposite at both ends
-            if a >> 2 == b >> 2 != i and a ^ b != 2:
-                ends = mate[h + s ^ 2], mate[h + t ^ 2], mate[a ^ 2], mate[b ^ 2]
-                free_loops += remove_vertex(mate, i, PAIRING_FLAT) + remove_vertex(mate, a >> 2, PAIRING_FLAT)
-                todo.extend([x >> 2 for x in ends if mate[x] >= 0])
-                break
-    kept = [i for i in range(len(mate) >> 2) if mate[4 * i] >= 0]
-    d = FramedDiagram(tuple(kept), renumber(mate, kept), free_loops, validate=False)
-    return canonicalize(d), free_loops > 0
-
-
-def _untangle(d: FramedDiagram) -> FramedDiagram:
-    """``d`` with every kink and bigon deleted, for the brackets, which no
-    move changes.
-
-    Like ``_reduce``, it works on one copy of the integer matching in place:
-    a kink's vertex is removed by the pairing that does not close its loop,
-    a bigon's two vertices by the flat one, and only the vertices whose
-    edges changed are checked again.  The kept vertices are renumbered once
-    and keep their labels; no canonical form is built.  Neither deletion
-    changes which kept chords a kept chord interlaces, or which circles its
-    passages lie on, so every kept chord keeps its Gaussian and its
-    component parity."""
-    mate, free_loops = d.mate[:], d.free_loops
-    todo = list(range(d.vertex_count - 1, -1, -1))
     while todo:
         i = todo.pop()
         h = 4 * i
@@ -437,12 +402,13 @@ def _untangle(d: FramedDiagram) -> FramedDiagram:
             continue
         ends = mate[h:h + 4]
         # a kink: an edge joining two non-opposite slots of ``i``
-        kink = next((x ^ g for x, g in enumerate(ends, h) if g >> 2 == i and g ^ x != 2), 0)
+        kink = kinks and next((x ^ g for x, g in enumerate(ends, h) if g >> 2 == i and g ^ x != 2), 0)
         if kink:
             free_loops += remove_vertex(mate, i, PAIRING_B if kink == 1 else PAIRING_A)
         else:
             for s, t in _NON_OPPOSITE:
                 a, b = ends[s], ends[t]
+                # two edges to one other vertex, non-opposite at both ends
                 if a >> 2 == b >> 2 != i and a ^ b != 2:
                     ends += mate[a ^ 2], mate[b ^ 2]
                     free_loops += (remove_vertex(mate, i, PAIRING_FLAT)
@@ -451,24 +417,42 @@ def _untangle(d: FramedDiagram) -> FramedDiagram:
             else:
                 continue
         todo.extend([x >> 2 for x in ends if mate[x] >= 0])
-    kept = [i for i in range(d.vertex_count) if mate[4 * i] >= 0]
-    return FramedDiagram(tuple(d.labels[i] for i in kept), renumber(mate, kept), free_loops, validate=False)
+    kept = [i for i in range(len(mate) >> 2) if mate[4 * i] >= 0]
+    return FramedDiagram(tuple(kept), renumber(mate, kept), free_loops, validate=False)
 
 
-def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram, _rng: random.Random | None = None):
+def _reduce(mate: list, free_loops: int) -> CanonicalCode:
+    """``reduce_r2`` of an integer matching, which it reduces in place."""
+    return canonicalize(_decrease(mate, free_loops, kinks=False))
+
+
+def _untangle(d: FramedDiagram) -> FramedDiagram:
+    """``d`` with every kink and bigon deleted, for the brackets, which no
+    move changes.  No canonical form is built.  Neither deletion changes
+    which kept chords a kept chord interlaces, or which circles its
+    passages lie on, so every kept chord keeps its Gaussian and its
+    component parity."""
+    u = _decrease(d.mate[:], d.free_loops, kinks=True)
+    return FramedDiagram(tuple(map(d.labels.__getitem__, u.labels)), u.mate, u.free_loops, validate=False)
+
+
+def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram):
     """Apply decreasing R2 moves until none is possible.
 
     Returns ``(CanonicalCode, saw_free_loop)``; the flag records whether any
     intermediate or final diagram carried a free loop, which is whether the
     result has one, as free loops never vanish under these moves.  Each
     move splices out the two vertices of a bigon with the flat re-pairing,
-    continuing both strands straight through.  The result is
-    independent of the reduction order (tested, not assumed); ``_rng``
-    draws the order at random.  Kinks are kept: the state sums and
-    ``delta`` reduce their terms by this, and a term's kinks are part of
-    it.  ``_untangle`` deletes kinks too, for the brackets' input."""
+    continuing both strands straight through.  The result is independent
+    of the reduction order: the tests compare it with the one-move-at-a-time
+    oracle on random orders of the moves, and with itself on random
+    relabellings of the input, which reorder the vertices it checks.
+    Kinks are kept: the state sums and ``delta`` reduce their terms by
+    this, and a term's kinks are part of it.  ``_untangle`` deletes kinks
+    too, for the brackets' input."""
     d = to_framed(code)
-    return _reduce(d.mate[:], d.free_loops, _rng)
+    reduced = _reduce(d.mate[:], d.free_loops)
+    return reduced, reduced.free_loops > 0
 
 
 def neighbors(d: FramedDiagram, allow_increase: int = 0) -> list[FramedDiagram]:

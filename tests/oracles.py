@@ -602,6 +602,17 @@ def naive_reduce_r2(code, rng=None) -> tuple[CanonicalCode, bool]:
     return canonicalize(d), saw
 
 
+def relabelled(code, rng) -> GaussCode:
+    """The diagram of ``code`` written anew at random: its chords renamed
+    0..n-1, each word rotated and the words shuffled.  Its framed graph
+    numbers the vertices, and the slots of a chord, in another order."""
+    c = as_code(code)
+    names = dict(zip(c.labels(), rng.sample(range(c.chord_count), c.chord_count)))
+    words = [w[r:] + w[:r] for w in c.words for r in [rng.randrange(len(w))]]
+    rng.shuffle(words)
+    return GaussCode(tuple(tuple(names[x] for x in w) for w in words), c.free_loops)
+
+
 def naive_state_sum(d, even_vertices, keep) -> set:
     """XOR of reduced states over every smoothing of ``even_vertices``, each
     state built by ``resolve`` and kept when ``keep(state, reduced, saw)``."""

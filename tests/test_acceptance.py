@@ -76,6 +76,8 @@ from oracles import (
     brute_canonical,
     descent_closure,
     kink_delete,
+    naive_reduce_r2,
+    relabelled,
     uncancelled_terms,
     word_smooth,
 )
@@ -166,8 +168,12 @@ def test_acceptance_02_reduction_confluence():
         n = rng.randint(0, 7)
         k = 1 if n == 0 else rng.randint(1, min(3, 2 * n))
         c = random_moves(random_diagram(n, k, rng), rng.randint(0, 4), n + 2, rng)
-        results = {reduce_r2(c, random.Random(rng.randrange(2**32))) for _ in range(10)}
-        results.add(reduce_r2(c))
+        # each order: one drawn among every bigon by the one-move oracle, and
+        # one of the kernel's own, which relabelling the input reorders
+        results = {reduce_r2(c)}
+        for _ in range(10):
+            results.add(naive_reduce_r2(c, random.Random(rng.randrange(2**32))))
+            results.add(reduce_r2(relabelled(c, rng)))
         assert len(results) == 1, (trial, c, results)
     verdict(2, "R2 reduction confluence", "200 diagrams x 10 orders, all identical")
 
