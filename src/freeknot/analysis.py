@@ -170,13 +170,30 @@ def realizable(g: InterlacementGraph) -> CanonicalCode | None:
     ``g``, or None when none exists.
 
     The double-occurrence word is written over ``g``'s own vertices (vertex
-    i is bit i), depth first and starting with vertex 0.  ``parity`` holds
-    the open letters.  An open letter ``v`` may close only when the letters
-    seen once since it opened, ``parity ^ opened_at[v]``, are exactly its
-    neighbours; a letter may open only while none of its neighbours has
-    closed.  Each pair of letters is decided when the first of the two
-    closes, so a finished word has interlacement graph exactly ``g``, and
-    no realizing word is cut.  Budget: ``REALIZABLE_MAX_VERTICES``."""
+    i is bit i), depth first.  ``parity`` holds the open letters.  An open
+    letter ``v`` may close only when the letters seen once since it opened,
+    ``parity ^ opened_at[v]``, are exactly its neighbours; a letter may open
+    only while none of its neighbours has closed.  Each pair of letters is
+    decided when the first of the two closes, so a finished word has
+    interlacement graph exactly ``g``.  Four rules skip copies of words:
+
+    1. Isolated vertices start closed, and the word found ends with
+       ``v v`` for each: ``v v`` inserted anywhere crosses no chord, so
+       the graph of the rest decides.
+    2. The word starts with a non-isolated vertex of least degree: every
+       word has a rotation that starts with it.
+    3. ``late``, the least non-isolated vertex other than the start and
+       not its neighbour, may not open while the start is open: both its
+       ends lie in one arc between the start's ends, and of the two
+       rotations that begin with the start, one puts that arc second.
+    4. The start may close only when the letter just after it is at most
+       the letter just before its second end: a word and its reverse have
+       the same graph, and reversing swaps these two letters while keeping
+       the start first and ``late``'s arc second.
+
+    Each word a rule drops has a rotation or reverse that the search still
+    writes, so the answer is the same; only the witness may differ.
+    Budget: ``REALIZABLE_MAX_VERTICES``."""
     n = len(g.vertices)
     if n > REALIZABLE_MAX_VERTICES:
         raise BudgetError(f"realizability search is bounded at {REALIZABLE_MAX_VERTICES} vertices")
@@ -189,8 +206,21 @@ def realizable(g: InterlacementGraph) -> CanonicalCode | None:
         nbr[a] |= 1 << b
         nbr[b] |= 1 << a
     done = (1 << n) - 1
-    opened_at = [1] + [0] * (n - 1)  # parity just after each letter opened
-    word = [0]
+    isolated, tail, start, least = 0, (), -1, n
+    for v, m in enumerate(nbr):
+        if not m:
+            isolated |= 1 << v
+            tail += (v, v)
+        elif m.bit_count() < least:
+            start, least = v, m.bit_count()
+    if start < 0:
+        return canonicalize(GaussCode((tail,)))
+    first = 1 << start
+    others = done & ~(isolated | nbr[start] | first)
+    late = (others & -others).bit_length() - 1  # -1 when there is none
+    opened_at = [0] * n  # parity just after each letter opened
+    opened_at[start] = first
+    word = [start]
 
     def place(closed: int, parity: int) -> bool:
         if closed == done:
@@ -198,10 +228,10 @@ def realizable(g: InterlacementGraph) -> CanonicalCode | None:
         for v in range(n):
             bit = 1 << v
             if parity & bit:
-                if parity ^ opened_at[v] != nbr[v]:
+                if parity ^ opened_at[v] != nbr[v] or (v == start and word[1] > word[-1]):
                     continue
                 now_closed = closed | bit
-            elif (nbr[v] | bit) & closed:
+            elif (nbr[v] | bit) & closed or (v == late and parity & first):
                 continue
             else:
                 opened_at[v] = parity ^ bit
@@ -212,7 +242,7 @@ def realizable(g: InterlacementGraph) -> CanonicalCode | None:
             word.pop()
         return False
 
-    return canonicalize(GaussCode((tuple(word),))) if place(0, 1) else None
+    return canonicalize(GaussCode((tuple(word) + tail,))) if place(isolated, first) else None
 
 
 # ---------------------------------------------------------------------------

@@ -41,3 +41,21 @@ def test_state_sum_bench_prints_one_line_of_medians(repo_root):
     assert out["left"] == {"alex_bracket": {"chords": [6, 5], "evens": [2, 1]},
                            "kauffman_bracket": {"chords": [3, 6], "evens": [1, 4]},
                            "kdelta": {"chords": [6, 5], "evens": [4, 2]}}
+
+
+def test_realizable_bench_prints_one_line_per_case(repo_root):
+    script = repo_root / "scripts" / "bench_realizable.py"
+    run = subprocess.run([sys.executable, str(script), "--seed", "1", "--repeat", "2"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    (line,) = run.stdout.splitlines()
+    out = json.loads(line)
+    assert {k: out[k] for k in ("seed", "repeat")} == {"seed": 1, "repeat": 2}
+    words = [f"word_{n}" for n in range(4, 9)]
+    wheels = ["w5_local_complements", "w7", "bw3", "w5_isolated_1", "w5_isolated_2",
+              "w5_false_twin_hub", "w5_false_twin_rim", "w5_true_twin_hub", "w5_true_twin_rim",
+              "w5_pendant_hub", "w5_pendant_rim", "w5_two_twins"]
+    assert sorted(out["cases"]) == sorted(wheels + words)
+    assert all(sorted(case) == ["max_ms", "median_ms", "realizable"] for case in out["cases"].values())
+    assert {name: case["realizable"] for name, case in out["cases"].items()} == \
+        {**dict.fromkeys(wheels, False), **dict.fromkeys(words, True)}
