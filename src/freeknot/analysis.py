@@ -10,8 +10,8 @@ diagram's own crossing number certifies minimality.
 
 from __future__ import annotations
 
-import functools
 import random
+from collections import OrderedDict
 from dataclasses import dataclass
 from importlib import resources
 
@@ -36,12 +36,13 @@ from .parity import InterlacementGraph, interlacement
 REALIZABLE_MAX_VERTICES = 8
 
 #: a move search raises ``BudgetError`` once it has visited more classes
-#: than this.  A visited class keeps about 345 bytes alive: its canonical
-#: code (about 265) and its parent link and frontier slot (75-87, measured
-#: with tracemalloc and warm caches on ``explore_moves("a b c a b c", 7, 4)``
-#: and ``("a b a c b c", 7, 3)``, 3,211 and 2,804 classes).  So 2**18
-#: classes take about 90 MB, besides canonicalize's cache and the memo of
-#: ``_children``.
+#: than this, a reached target among them.  A visited class keeps about 345
+#: bytes alive: its canonical code (about 265) and its parent link and
+#: frontier slot (75-87, measured with tracemalloc and warm caches on
+#: ``explore_moves("a b c a b c", 7, 4)`` and ``("a b a c b c", 7, 3)``,
+#: 3,211 and 2,804 classes).  So 2**18 classes take about 90 MB, besides
+#: canonicalize's cache and ``_memo``, the children of the classes searches
+#: have expanded.
 SEARCH_MAX_VISITED = 1 << 18
 
 
@@ -266,33 +267,54 @@ class SearchReport:
     path: tuple[str, ...] | None
 
 
-@functools.lru_cache(maxsize=1 << 16)
-def _children(can: CanonicalCode, max_vertices: int) -> tuple[CanonicalCode, ...]:
-    """The distinct classes one move away from ``can`` within
-    ``max_vertices``, in the order their first move comes in ``_moves``.
+#: the most expansions ``_memo`` holds; the oldest goes first (an ordered
+#: dict, as deleting a plain dict's first key again and again makes each
+#: next such deletion scan the holes left before it)
+MEMO_MAX = 1 << 16
+#: ``(class, max_vertices)`` -> the class's distinct children and the least
+#: chord count among them, for every expansion that ran to its end
+_memo: OrderedDict = OrderedDict()
 
-    Memoized, as a search meets the same class again and again, in one run
-    and across runs.  An R1+ kink on side 1 is skipped: its child is side
-    0's on the same site, which comes just before it.
 
-    Memory: at most 2**16 entries.  An entry holds only references to
-    canonical codes, about 186 + 8k bytes for k children (tracemalloc), and
-    k is at most the class's move count, about 4n**2 at n crossings when
-    increases fit the bound.  On the search benchmark k is 6.2 on average
-    and at most 211, so a full memo takes about 15 MB, and 125 MB if every
-    entry had 211 children.  The codes are shared with canonicalize's
-    cache; one that cache has evicted stays alive here, at about 265 bytes.
-    On the two searches of ``SEARCH_MAX_VISITED`` an entry took 263 and 272
-    bytes, at 9.4 and 9.2 children."""
+def _children(can: CanonicalCode, max_vertices: int):
+    """Yield the distinct classes one move away from ``can`` within
+    ``max_vertices``, in the order their first move comes in ``_moves``,
+    each as soon as its move is applied.  An R1+ kink on side 1 is skipped:
+    its child is side 0's on the same site, which comes just before it.
+
+    A search meets the same class again and again, in one run and across
+    runs, so an expansion that runs to its end is stored in ``_memo``; one
+    that its reader leaves early, at a target, is not, so the memo holds
+    complete expansions only.
+
+    Memory: at most ``MEMO_MAX`` entries.  An entry holds only references
+    to canonical codes, about 190 + 8k bytes for k children (tracemalloc),
+    and k is at most the class's move count, about 4n**2 at n crossings
+    when increases fit the bound.  Over the first 57,000 ops of the search
+    benchmark's stream at seed 11, 22,841 entries are stored, with 8.4
+    children on average and at most 229, so a full memo takes about 17 MB,
+    and 130 MB if every entry had 229 children.  The codes are shared with
+    canonicalize's cache; one that cache has evicted stays alive here, at
+    about 265 bytes."""
     d = to_framed(can)
-    return tuple(dict.fromkeys(
-        canonicalize(_apply(d, m)) for m in _moves(d, max_vertices) if m[0] != R1_UP or not m[2]
-    ))
+    seen: dict = {}
+    for m in _moves(d, max_vertices):
+        if m[0] != R1_UP or not m[2]:
+            child = canonicalize(_apply(d, m))
+            if child not in seen:
+                seen[child] = None
+                yield child
+    if len(_memo) >= MEMO_MAX:
+        _memo.popitem(last=False)
+    _memo[can, max_vertices] = tuple(seen), min((c.chord_count for c in seen), default=can.chord_count)
 
 
 def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, max_depth: int) -> SearchReport:
-    """Breadth-first search over classes by their memoized ``_children``.
-    Each class keeps only its parent.  A reached target's path is rebuilt
+    """Breadth-first search over classes by their ``_children``: a stored
+    expansion is read from ``_memo``, any other is walked move by move, so
+    a search that meets its target stops there.  Each class keeps only its
+    parent, and ``min_vertices`` takes the least chord count among a
+    finished class's children at once.  A reached target's path is rebuilt
     step by step: the move of a step is the first move of the parent's
     framed graph (labels ``0..n-1``) whose child is the step's class, which
     is the move that first reached it, and only these moves are labelled.
@@ -330,16 +352,22 @@ def _bfs(start: CanonicalCode, target: CanonicalCode | None, max_vertices: int, 
         depth += 1
         nxt = []
         for can in frontier:
-            for child in _children(can, max_vertices):
+            key = can, max_vertices
+            stored = _memo.get(key)
+            first = len(nxt)
+            for child in stored[0] if stored else _children(can, max_vertices):
                 if child in parents:
                     continue
                 parents[child] = can
-                min_seen = min(min_seen, child.chord_count)
-                if target is not None and child == target:
-                    return finish(True)
                 if len(parents) > limit:
                     raise BudgetError(f"move search visited more than {limit} classes")
+                if target is not None and child == target:
+                    # the class stops here: fold in the new children it put on
+                    # the frontier, as every other visited class is folded in
+                    min_seen = min(min_seen, child.chord_count, *(c.chord_count for c in nxt[first:]))
+                    return finish(True)
                 nxt.append(child)
+            min_seen = min(min_seen, (stored or _memo[key])[1])
         frontier = nxt
     return finish(False if target is not None else None)
 

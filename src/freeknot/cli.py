@@ -166,8 +166,15 @@ def _cmd_bfs(args):
     return out, lines, EXIT_OK if report.reached else EXIT_BUDGET
 
 
+@functools.cache
+def _rendered_codes(n: int, k: int) -> tuple[str, ...]:
+    """``enumerate_codes(n, k)`` as text, rendered once per size, as
+    ``enumerate_codes`` caches the classes themselves."""
+    return tuple(map(str, enumerate_codes(n, k)))
+
+
 def _cmd_enumerate(args):
-    codes = [str(c) for c in enumerate_codes(args.n, args.k)]
+    codes = _rendered_codes(args.n, args.k)
     return {"codes": codes}, codes
 
 

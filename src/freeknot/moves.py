@@ -459,9 +459,10 @@ def neighbors(d: FramedDiagram, allow_increase: int = 0) -> list[FramedDiagram]:
     """Every result of a single move, increases admitted while the vertex
     count stays within ``current + allow_increase``; deduplicated by
     canonical code and sorted by it.  The search does not call it: it keeps
-    only the child classes, memoized in ``analysis._children``, with no
-    framed graph.  This one-step neighbourhood is kept as public API, and
-    the acceptance tests check it."""
+    only the child classes, which ``analysis._children`` yields one by one
+    with no framed graph kept, and stores in ``analysis._memo`` once a
+    class's moves are all applied.  This one-step neighbourhood is kept as
+    public API, and the acceptance tests check it."""
     results: dict[CanonicalCode, FramedDiagram] = {}
     for move in _moves(d, d.vertex_count + allow_increase):
         if move[0] == R1_UP and move[2] == 1:

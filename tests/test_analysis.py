@@ -227,7 +227,10 @@ def test_the_mirror_kink_gives_the_class_of_side_0():
                         checked += 1
                     # so skipping side 1 loses no child
                     everything = (canonicalize(moves._apply(d, m)) for m in moves._moves(d, n + 2))
-                    assert analysis._children(canonicalize(d), n + 2) == tuple(dict.fromkeys(everything))
+                    children = tuple(analysis._children(canonicalize(d), n + 2))
+                    assert children == tuple(dict.fromkeys(everything))
+                    # and a walk run to its end is stored as it went
+                    assert analysis._memo[canonicalize(d), n + 2][0] == children
     assert checked > 1000
 
 
@@ -243,9 +246,13 @@ def test_search_bounds_must_be_ints_and_the_depth_non_negative(search, max_verti
             bfs_equivalent(code("a b a b"), code("O"), max_vertices, max_depth)
 
 
-def test_explore_matches_the_labelled_search_oracle():
-    analysis._children.cache_clear()
+def test_explore_matches_the_labelled_search_oracle(monkeypatch):
+    analysis._memo.clear()
+    applied = []
     for memo in ("cold", "warm"):
+        if memo == "warm":  # the warm pass must expand nothing
+            apply = analysis._apply
+            monkeypatch.setattr(analysis, "_apply", lambda d, m: applied.append(m) or apply(d, m))
         checked = 0
         for n in range(5):
             for k in (1, 2):
@@ -255,8 +262,8 @@ def test_explore_matches_the_labelled_search_oracle():
                         assert explore_moves(c, n + 2, 2) == naive_bfs(c, None, n + 2, 2), (memo, str(c))
                         checked += 1
         assert checked > 150
-    info = analysis._children.cache_info()
-    assert info.hits >= checked and info.maxsize == 1 << 16
+    assert applied == []
+    assert analysis.MEMO_MAX == 1 << 16 and 0 < len(analysis._memo) <= analysis.MEMO_MAX
 
 
 def test_bfs_matches_the_labelled_search_oracle_on_scrambles():
@@ -268,7 +275,7 @@ def test_bfs_matches_the_labelled_search_oracle_on_scrambles():
         a = random_diagram(n, k, rng)
         steps = rng.randint(1, 3)
         scrambles.append((a, random_moves(a, steps, n + 2, rng), n + 2, steps))
-    analysis._children.cache_clear()
+    analysis._memo.clear()
     for _ in ("cold", "warm"):
         reached = 0
         for a, b, max_vertices, steps in scrambles:
@@ -294,7 +301,7 @@ def test_the_search_labels_no_move_but_those_of_its_path(monkeypatch):
     monkeypatch.setattr(moves.MoveInstance, "__init__", counting_init)
     assert explore_moves(code("a b a c b c"), 6, 2).visited > 100
     assert calls == {"_edge": 0, "MoveInstance": 0}
-    analysis._children.cache_clear()
+    analysis._memo.clear()
     for instances in (2, 4):  # once with the memo cold, once warm
         r = bfs_equivalent(code("a a b c c b"), code("O"), 3, 3)
         assert r.reached and len(r.path) == 2
@@ -310,6 +317,67 @@ def test_search_stops_at_its_visited_class_budget(monkeypatch):
         explore_moves(code("a b a c b c"), 5, 2)
     with pytest.raises(BudgetError):
         bfs_equivalent(code("a b a c b c"), code("a b c d a b c d"), 5, 2)
+
+
+def test_a_target_search_stops_inside_the_class_that_reaches_it(monkeypatch):
+    # the first move of "a a b c c b" deletes a kink, whose class is the
+    # target; its later moves include a bigon deletion and increases
+    start, target = canonicalize(code("a a b c c b")), canonicalize(code("a a b b"))
+    d = to_framed(start)
+    class_moves = list(moves._moves(d, 4))
+    assert canonicalize(moves._apply(d, class_moves[0])) == target
+    assert {moves.R2_DOWN, moves.R1_UP} <= {m[0] for m in class_moves}
+    analysis._memo.clear()
+    applied = []
+    apply = analysis._apply
+    monkeypatch.setattr(analysis, "_apply", lambda d, m: applied.append(m) or apply(d, m))
+    r = bfs_equivalent(start, target, 4, 1)
+    assert r == naive_bfs(start, target, 4, 1)
+    # one apply reaches the target, one finds the move of its path step
+    assert applied == [class_moves[0]] * 2 and len(class_moves) > 2
+    assert (start, 4) not in analysis._memo
+    # the bigon child, with one chord, comes after the target, so is unseen
+    assert r.min_vertices == 2
+
+
+def test_stopped_and_finished_expansions_interleave():
+    cases = [(code(a), code(b), max_vertices, max_depth) for a, b, max_vertices, max_depth in (
+        ("a a b c c b", "a a b b", 4, 1), ("a a b b", "a a", 4, 1), ("a b a c b c", "a b a b", 5, 2))]
+    rng = random.Random(7)
+    for n in (3, 3, 4, 4):
+        a = random_diagram(n, 1, rng)
+        cases.append((a, random_moves(a, 2, n + 1, rng), n + 1, 2))
+    analysis._memo.clear()
+    for memo in ("cold", "warm"):
+        for a, b, max_vertices, max_depth in cases:
+            ca, cb = canonicalize(a), canonicalize(b)
+            expected = naive_bfs(ca, cb, max_vertices, max_depth)
+            assert bfs_equivalent(ca, cb, max_vertices, max_depth) == expected, (memo, a, b)
+            if memo == "cold" and expected.path and len(expected.path) == 1:
+                assert (ca, max_vertices) not in analysis._memo  # stopped partway
+            assert explore_moves(ca, max_vertices, max_depth) == naive_bfs(ca, None, max_vertices, max_depth)
+            assert (ca, max_vertices) in analysis._memo
+            assert bfs_equivalent(ca, cb, max_vertices, max_depth) == expected, (memo, a, b)
+
+
+def test_a_target_search_stops_at_its_visited_class_budget(monkeypatch):
+    a, b = code("a b a c b c"), code("a b a b")
+    visited = bfs_equivalent(a, b, 5, 2).visited
+    assert visited > 2
+    monkeypatch.setattr(analysis, "SEARCH_MAX_VISITED", visited)
+    assert bfs_equivalent(a, b, 5, 2).reached
+    monkeypatch.setattr(analysis, "SEARCH_MAX_VISITED", visited - 1)
+    with pytest.raises(BudgetError, match=f"more than {visited - 1} classes"):
+        bfs_equivalent(a, b, 5, 2)
+
+
+def test_the_memo_never_holds_more_than_its_bound(monkeypatch):
+    monkeypatch.setattr(analysis, "MEMO_MAX", 8)
+    monkeypatch.setattr(analysis, "_memo", type(analysis._memo)())
+    start = canonicalize(code("a b a c b c"))
+    for _ in ("cold", "warm"):
+        assert explore_moves(start, 5, 3) == naive_bfs(start, None, 5, 3)
+        assert len(analysis._memo) == 8
 
 
 # ---------------------------------------------------------------------------

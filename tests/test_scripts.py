@@ -59,3 +59,19 @@ def test_realizable_bench_prints_one_line_per_case(repo_root):
     assert all(sorted(case) == ["max_ms", "median_ms", "realizable"] for case in out["cases"].values())
     assert {name: case["realizable"] for name, case in out["cases"].items()} == \
         {**dict.fromkeys(wheels, False), **dict.fromkeys(words, True)}
+
+
+def test_search_bench_prints_one_line_per_case(repo_root):
+    script = repo_root / "scripts" / "bench_search.py"
+    run = subprocess.run([sys.executable, str(script), "--seed", "1", "--repeat", "2"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    (line,) = run.stdout.splitlines()
+    out = json.loads(line)
+    assert {k: out[k] for k in ("seed", "repeat")} == {"seed": 1, "repeat": 2}
+    assert sorted(out["cases"]) == ["bfs/1c/n3", "bfs/1c/n5", "bfs/2c/n4", "bfs/2c/n5", "explore/1c/n3/d3",
+                                    "explore/1c/n4/d2", "explore/2c/n3/d2", "explore/2c/n4/d2"]
+    assert all(sorted(case) == ["cold_ms", "expanded", "misses", "warm_ms"] for case in out["cases"].values())
+    # every cold search canonicalizes, and a sweep runs every class it expands to its end
+    assert all(case["misses"] > 0 for case in out["cases"].values())
+    assert all(case["expanded"] > 0 for name, case in out["cases"].items() if name.startswith("explore"))
