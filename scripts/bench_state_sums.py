@@ -8,12 +8,13 @@ the state-sum budget), and a two-circle diagram with that many
 component-even chords for ``kauffman_bracket``.  Each bracket is timed over
 all its inputs ``--repeat`` times, with the canonical-form cache cleared
 before every call, and the run prints one JSON line with the median time
-of each.  The brackets delete every kink and bigon of their input before
-they sum it, so the line also gives, per bracket and input, the chords and
-the even chords left to sum: for ``kdelta``, the chords left of the knot
-and the most even chords left in any delta term it sums.  It imports the
-package from the checkout it lives in, so running it from two checkouts
-compares them.
+of each and the run's peak resident memory (``VmHWM`` from
+``/proc/self/status``, or null where that file is missing).  The brackets
+delete every kink and bigon of their input before they sum it, so the line
+also gives, per bracket and input, the chords and the even chords left to
+sum: for ``kdelta``, the chords left of the knot and the most even chords
+left in any delta term it sums.  It imports the package from the checkout
+it lives in, so running it from two checkouts compares them.
 
 Usage: python scripts/bench_state_sums.py [--chords N] [--evens E ...]
                                           [--seed S] [--repeat R]
@@ -53,6 +54,19 @@ def kdelta_left(code) -> tuple[int, int]:
     the delta terms that ``kdelta`` sums."""
     d = _untangle(to_framed(code))
     return d.vertex_count, max((left(t, component_parity)[1] for t in delta(d).terms), default=0)
+
+
+def vmhwm_mb():
+    """The process's peak resident memory in MB, or None without
+    ``/proc/self/status``."""
+    try:
+        with open("/proc/self/status") as f:
+            for line in f:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024, 1)
+    except OSError:
+        return None
+    return None
 
 
 def within_budget(code) -> bool:
@@ -99,7 +113,8 @@ def main() -> int:
             times.append(total)
         medians[name] = round(statistics.median(times), 6)
     print(json.dumps({"chords": args.chords, "evens": args.evens, "seed": args.seed,
-                      "repeat": args.repeat, "median_s": medians, "left": lefts}))
+                      "repeat": args.repeat, "median_s": medians, "left": lefts,
+                      "vmhwm_mb": vmhwm_mb()}))
     return 0
 
 

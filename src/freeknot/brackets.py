@@ -20,10 +20,12 @@ read off the smaller diagram, and the budget counts its even crossings.
 ``delta`` and each state are reduced by the second move only: delta's
 support is not move-invariant, and a state's kinks are part of its term.
 
-The sums work on the integer matching of the framed graph.  A link sum
-smooths one even crossing at a time over a whole level of partial states,
-kept mod 2, so that equal partial states cancel before they are expanded;
-a knot sum, whose states barely cancel, walks the smoothings depth first.
+The sums work on the integer matching of the framed graph.  Knot and link
+sums alike smooth one even crossing at a time over a whole level of partial
+states, kept mod 2, so that equal partial states cancel before they are
+expanded.  The crossings go in a frontier order, which keeps few edges
+between the smoothed and the unsmoothed part; the states of a level differ
+only in how the smoothed part joins those edges, so the level stays narrow.
 Each surviving state is R2-reduced in place by ``moves._reduce``, and so is
 each split of ``delta``, whose smoothing is picked by one walk of its circle;
 a reduced term carries a free loop when its canonical code does.
@@ -60,10 +62,12 @@ CTX_LINK2 = "link2"
 SMOOTHING_PAIRINGS = {"A": PAIRING_A, "B": PAIRING_B}
 
 #: most even crossings a state sum smooths (2^20 states), counted once every
-#: kink and bigon is deleted: seeded random kink- and bigon-free 24-chord inputs
-#: with 20 take 1.6-3.2 s for ``alex_bracket`` and 0.04-0.6 s for
-#: ``kauffman_bracket``, whose states cancel level by level; a sum whose
-#: states are all distinct and loop-free pays one reduction per state
+#: kink and bigon is deleted.  Seeded random kink- and bigon-free 24-chord
+#: inputs with 20 take at most 0.05 s for either bracket, with at most 3,332
+#: states in a level.  Odd crossings widen the levels, as their edges stay
+#: cut: 40 seeded 26-chord knots with 17-20 even crossings left take up to
+#: 1.5 s each and hold up to 83,072 states in a level (2 shared vCPUs).
+#: A sum whose states are all distinct and loop-free pays one reduction per state
 STATE_SUM_MAX_EVENS = 20
 
 
@@ -205,47 +209,49 @@ def delta(code) -> FormalSum:
     return FormalSum(frozenset(support), CTX_LINK2, validate=False)
 
 
-def _smoothings(mate: list, evens: range, loops: int, max_loops: int):
-    """Yield ``(mate, loops)`` for every smoothing of the vertices ``evens``
-    of a matching that ends with at most ``max_loops`` free loops.  Vertices
-    are smoothed depth first, each on a copy of its parent's matching; a
-    branch is cut at its first excess loop, as smoothing never touches a
-    circle that has no crossings on it, so free loops are permanent."""
-    stack = [(mate, 0, loops)] if loops <= max_loops else []
-    while stack:
-        m, depth, loops = stack.pop()
-        if depth == len(evens):
-            yield m, loops
-            continue
-        for pairing in (PAIRING_A, PAIRING_B):
-            child = m[:]
-            closed = loops + remove_vertex(child, evens[depth], pairing)
-            if closed <= max_loops:
-                stack.append((child, depth + 1, closed))
+def _frontier(mate: list, evens: list) -> list:
+    """The vertices ``evens`` in the order a state sum smooths them.  Next
+    comes the one that leaves the fewest edges between smoothed and
+    unsmoothed vertices, the lower number on a tie (Bar-Natan's frontier
+    order); the other vertices count as unsmoothed."""
+    smoothed = [False] * (len(mate) >> 2)
+    order, rest = [], sorted(evens)
+    while rest:
+        # an edge to an unsmoothed vertex joins the cut, one to a smoothed vertex leaves it
+        v = min(rest, key=lambda u: sum(-1 if smoothed[g >> 2] else 1
+                                        for g in mate[4 * u:4 * u + 4] if g >> 2 != u))
+        rest.remove(v)
+        smoothed[v] = True
+        order.append(v)
+    return order
 
 
-def _levels(mate: list, evens: range, loops: int) -> set:
-    """``(mate, loops)`` for the smoothings of the vertices ``evens`` of a
-    matching that carry no free loop, each of odd multiplicity: the rest
-    cancel in pairs.  Vertices are smoothed one level at a time, and a
-    level is the set of its partial states of odd multiplicity, kept by
-    XOR.  A smoothed vertex's slots read -1, so two equal partial states
-    are equal tuples; they have identical subtrees, so they cancel before
-    either is expanded.  A state is dropped at its first loop."""
-    level = {(tuple(mate), loops)} if not loops else set()
-    for v in evens:
+def _levels(mate: list, live: int, loops: int, max_loops: int) -> set:
+    """``(mate, loops)`` for the smoothings of the vertices numbered
+    ``live`` and up of a matching that carry at most ``max_loops`` free
+    loops, each of odd multiplicity: the rest cancel in pairs.  Vertices
+    are smoothed from the highest number down, one level at a time; once
+    ``v`` is smoothed no slot below ``4 * v`` points at a smoothed vertex,
+    so a partial state is its matching's prefix up to ``v``.  A level keeps
+    its partial states by XOR: two equal ones have identical subtrees, so
+    they cancel before either is expanded.  A state is dropped at its first
+    excess loop, as smoothing never touches a circle without crossings."""
+    # a state takes one byte per slot where every slot number fits, not a tuple's eight
+    pack = bytes if len(mate) <= 256 else tuple
+    level = {(pack(mate), loops)} if loops <= max_loops else set()
+    for v in reversed(range(live, len(mate) >> 2)):
         below: set = set()
         for m, loops in level:
             for pairing in (PAIRING_A, PAIRING_B):
                 child = list(m)
                 closed = loops + remove_vertex(child, v, pairing)
-                if not closed:
-                    below ^= {(tuple(child), closed)}
+                if closed <= max_loops:
+                    below ^= {(pack(child[:4 * v]), closed)}
         level = below
     return level
 
 
-def _one_circle(state: tuple) -> bool:
+def _one_circle(state) -> bool:
     """Whether a matching is one circle: the walk from half-edge 0 passes
     every vertex twice."""
     h, steps = state[2], 1
@@ -268,37 +274,27 @@ def _state_sum(d: FramedDiagram, odd: frozenset, knot: bool) -> set:
     each one deleted halves the states; a state keeps its kinks, as they
     are part of its term, and is reduced by the second move only.
 
-    A link sum smooths level by level (``_levels``), so that equal partial
-    states cancel before they are expanded; a knot sum walks the tree depth
-    first (``_smoothings``), holding one matching per depth.  The split
-    follows the measured traffic.  Link states cancel well: over 60 seeded
-    two-circle inputs with 18-24 chords and 14-20 evens, the widest level
-    held 11,296 states (about 10 MB), and a link sum took at most 0.25 s
-    where the depth-first walk took 0.01-1.87 s.  Knot states barely
-    cancel: over 16 seeded one-circle inputs with 18-24 chords and 10-14
-    evens, a level reached 2^evens states (4,096 at 12 evens), and the
-    level-wise sum ran at 0.56-2.6 times the speed of the depth-first one."""
-    evens = d.vertex_count - len(odd)
-    if evens > STATE_SUM_MAX_EVENS:
-        raise BudgetError(f"{evens} even crossings; "
+    Knot and link sums take one walk, ``_levels``, in the order of
+    ``_frontier``; they differ only in the loops a partial state may carry
+    and in the filter on the last level.  A level is held whole: on the 40
+    knots of ``STATE_SUM_MAX_EVENS`` the process peaks at 47 MB, against
+    35 MB for a depth-first walk that holds one matching per depth
+    (``tests/oracles.py::dfs_state_sum``) and takes 4 times as long."""
+    live = [i for i, v in enumerate(d.labels) if v in odd]
+    evens = [i for i, v in enumerate(d.labels) if v not in odd]
+    if len(evens) > STATE_SUM_MAX_EVENS:
+        raise BudgetError(f"{len(evens)} even crossings; "
                           f"state sums stop at {STATE_SUM_MAX_EVENS}")
-    # the odd vertices stay unsmoothed and come first: a state is a prefix of the matching
-    order = sorted(range(d.vertex_count), key=lambda i: d.labels[i] not in odd)
-    mate = renumber(d.mate, order)
-    live = len(odd)
-    smoothed = range(live, d.vertex_count)
-    if knot:
-        # an unsmoothed crossing lies on a circle, and a knot state keeps one
-        # component, so it may gain a free loop only when every crossing is smoothed
-        states: set = set()
-        for m, loops in _smoothings(mate, smoothed, d.free_loops, 0 if live else 1):
-            state = tuple(m[:4 * live])
-            if (not loops and _one_circle(state)) if live else loops == 1:
-                states ^= {(state, loops)}
-    else:
-        states = {(m[:4 * live], loops) for m, loops in _levels(mate, smoothed, d.free_loops)}
+    # the odd vertices stay unsmoothed and come first; the evens follow in
+    # reverse frontier order, as ``_levels`` smooths the highest number first
+    order = live + _frontier(d.mate, evens)[::-1]
+    # an unsmoothed crossing lies on a circle, and a knot state keeps one
+    # component, so it may gain a free loop only when every crossing is smoothed
+    states = _levels(renumber(d.mate, order), len(live), d.free_loops, 0 if live or not knot else 1)
     support: set = set()
     for state, loops in states:
+        if knot and not (_one_circle(state) if live else loops == 1):
+            continue
         reduced = _reduce(list(state), loops)
         if knot or not reduced.free_loops:
             support ^= {reduced}

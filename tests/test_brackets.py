@@ -39,6 +39,7 @@ from oracles import (
     naive_kauffman_bracket,
     naive_kdelta,
     naive_split_smoothing,
+    relabelled,
     word_smooth,
 )
 
@@ -341,27 +342,45 @@ def test_state_sums_match_the_every_state_oracle_exhaustive_small():
         assert kauffman_bracket(c).terms == naive_kauffman_bracket(c), str(c)
 
 
-def _seeded(k: int, chords: range, max_evens: int, parity, count: int, seed: int) -> list:
-    """``count`` seeded random ``k``-circle codes with at most ``max_evens``
-    even chords under ``parity``."""
+def _seeded(k: int, chords: range, evens: range, parity, count: int, seed: int) -> list:
+    """``count`` seeded random ``k``-circle codes whose count of even
+    chords under ``parity`` lies in ``evens``."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
         c = random_diagram(rng.choice(chords), k, rng)
-        if c.chord_count - len(parity(c).odd) <= max_evens:
+        p = parity(c)
+        if len(p.chords) - len(p.odd) in evens:
             out.append(c)
     return out
 
 
+#: an all-odd kink- and bigon-free block of 6 chords
+ODD_6 = (0, 1, 0, 2, 3, 1, 4, 2, 4, 5, 3, 5)
+
+
 def test_state_sums_match_the_depth_first_oracle():
+    rng = random.Random(23)
     knots = [c for n in range(0, 6) for c in enumerate_codes(n, 1)] + [load_fixture("k1")]
-    knots += _seeded(1, range(14, 17), 12, gaussian_parity, 5, 2)
+    knots += _seeded(1, range(14, 17), range(13), gaussian_parity, 5, 2)
+    # the frontier order breaks ties by vertex number, which a relabelled copy changes
+    knots += [relabelled(c, rng) for c in knots[-6:]]
     for c in knots:
         assert alex_bracket(c).terms == dfs_alex_bracket(c), str(c)
         assert kdelta(c).terms == naive_kdelta(c, dfs_kauffman_bracket), str(c)
+    # knots with 16-18 even chords left, whose levels get wide; and eleven
+    # ODD_6 blocks and EVENS_2_KNOT in a row, 72 chords, whose matching has
+    # too many slots for a state to be packed one byte per slot
+    wide = _seeded(1, range(20, 23), range(16, 19),
+                   lambda c: gaussian_parity(_untangle(to_framed(c))), 2, 2)
+    word = [6 * j + x for j in range(11) for x in ODD_6]
+    word += [66 + "abcdef".index(x) for x in EVENS_2_KNOT.split()]
+    for c in wide + [GaussCode((tuple(word),))]:
+        assert alex_bracket(c).terms == dfs_alex_bracket(c), str(c)
     links = [c for n in range(0, 6) for c in enumerate_codes(n, 2)]
     links += [load_fixture("l1"), code("a a | O"), code("a b a b | O")]
-    links += _seeded(2, range(18, 23), 16, component_parity, 20, 3)
+    links += _seeded(2, range(18, 23), range(17), component_parity, 20, 3)
+    links += [relabelled(c, rng) for c in links[-23:]]
     for c in links:
         assert kauffman_bracket(c).terms == dfs_kauffman_bracket(c), str(c)
 
@@ -431,12 +450,12 @@ EVENS_21_DELTA = " ".join(chr(97 + 5 * j + x) for j in range(5) for x in (3, 1, 
 
 
 def _no_states(*args):
-    raise AssertionError("a state was built")
+    raise AssertionError("the sum ordered or built states")
 
 
 def test_state_sums_refuse_beyond_the_budget_before_any_state(monkeypatch):
     assert STATE_SUM_MAX_EVENS == 20
-    monkeypatch.setattr(brackets, "_smoothings", _no_states)
+    monkeypatch.setattr(brackets, "_frontier", _no_states)
     monkeypatch.setattr(brackets, "_levels", _no_states)
     with pytest.raises(BudgetError, match="^21 even crossings; state sums stop at 20$"):
         alex_bracket(tight(EVENS_21_KNOT))

@@ -41,6 +41,24 @@ def test_state_sum_bench_prints_one_line_of_medians(repo_root):
     assert out["left"] == {"alex_bracket": {"chords": [6, 5], "evens": [2, 1]},
                            "kauffman_bracket": {"chords": [3, 6], "evens": [1, 4]},
                            "kdelta": {"chords": [6, 5], "evens": [4, 2]}}
+    # the run's peak resident memory, or null without /proc/self/status
+    assert out["vmhwm_mb"] is None or out["vmhwm_mb"] > 0
+
+
+def test_knot_set_bench_prints_one_line(repo_root):
+    script = repo_root / "scripts" / "bench_knot_set.py"
+    run = subprocess.run([sys.executable, str(script), "--chords", "8", "--evens", "2", "4",
+                          "--count", "3", "--seed", "1"],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    (line,) = run.stdout.splitlines()
+    out = json.loads(line)
+    assert {k: out[k] for k in ("chords", "evens", "count", "seed")} == {
+        "chords": 8, "evens": [2, 4], "count": 3, "seed": 1}
+    assert out["left"] == [3, 2, 4]
+    assert 0 <= out["worst_s"] <= out["total_s"]
+    assert out["vmhwm_mb"] is None or out["vmhwm_mb"] > 0
+    assert out["digest"] == "37677c0dc31b3fc8b7ee4d4177e68060d16ac6a327a79cd1f52f4a62f124973d"
 
 
 def test_realizable_bench_prints_one_line_per_case(repo_root):
