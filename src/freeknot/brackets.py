@@ -35,7 +35,7 @@ which deletes bigons, and kinks only for ``_untangle``.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from collections import namedtuple
 
 from .diagrams import (
     BudgetError,
@@ -71,24 +71,22 @@ SMOOTHING_PAIRINGS = {"A": PAIRING_A, "B": PAIRING_B}
 STATE_SUM_MAX_EVENS = 20
 
 
-@dataclass(frozen=True)
-class FormalSum:
+class FormalSum(namedtuple("FormalSum", "terms context")):
     """GF(2) combination of canonical reduced diagrams: membership in
-    ``terms`` is coefficient 1, addition is symmetric difference.
-    ``validate=False`` skips the member checks; the invariants pass it, as
+    ``terms`` is coefficient 1, addition is symmetric difference.  A named
+    tuple.  The constructor checks the context and every member; the
+    invariants build their sums with ``_make``, which skips the checks, as
     their terms are R2-reduced canonical codes (``moves._reduce``) already
     filtered for the context."""
 
-    terms: frozenset
-    context: str
-    validate: InitVar[bool] = True
+    __slots__ = ()
 
-    def __post_init__(self, validate: bool):
-        if validate:
-            if self.context not in (CTX_KNOT, CTX_LINK, CTX_LINK2):
-                raise CodeError(f"unknown context {self.context!r}")
-            for t in self.terms:
-                _check_member(t, self.context)
+    def __new__(cls, terms: frozenset, context: str):
+        if context not in (CTX_KNOT, CTX_LINK, CTX_LINK2):
+            raise CodeError(f"unknown context {context!r}")
+        for t in terms:
+            _check_member(t, context)
+        return super().__new__(cls, terms, context)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -97,7 +95,7 @@ class FormalSum:
         if self.context != other.context:
             raise PreconditionError("cannot add sums from different spaces")
         # every term was checked, for this context, when its operand was built
-        return FormalSum(self.terms ^ other.terms, self.context, validate=False)
+        return FormalSum._make((self.terms ^ other.terms, self.context))
 
     def sorted_terms(self) -> list[CanonicalCode]:
         return sorted(self.terms)
@@ -206,7 +204,7 @@ def delta(code) -> FormalSum:
         if saw:
             continue
         support ^= {reduced}
-    return FormalSum(frozenset(support), CTX_LINK2, validate=False)
+    return FormalSum._make((frozenset(support), CTX_LINK2))
 
 
 def _frontier(mate: list, evens: list) -> list:
@@ -308,7 +306,7 @@ def alex_bracket(code) -> FormalSum:
     is deleted.  Budget: ``STATE_SUM_MAX_EVENS``."""
     d = _untangle(_framed(code, 1, "alex_bracket"))
     support = _state_sum(d, gaussian_parity(d).odd, knot=True)
-    return FormalSum(frozenset(support), CTX_KNOT, validate=False)
+    return FormalSum._make((frozenset(support), CTX_KNOT))
 
 
 def kauffman_bracket(code) -> FormalSum:
@@ -318,7 +316,7 @@ def kauffman_bracket(code) -> FormalSum:
     ``STATE_SUM_MAX_EVENS``."""
     d = _untangle(_framed(code, 2, "kauffman_bracket"))
     support = _state_sum(d, component_parity(d).odd, knot=False)
-    return FormalSum(frozenset(support), CTX_LINK, validate=False)
+    return FormalSum._make((frozenset(support), CTX_LINK))
 
 
 def kdelta(code) -> FormalSum:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Hashable, Iterator, NamedTuple
 
@@ -49,6 +50,12 @@ def require_ints(**values) -> None:
             raise PreconditionError(f"{name} must be an int, got {v!r}")
 
 
+def _check_free_loops(free_loops) -> None:
+    """Raise ``CodeError`` unless ``free_loops`` is a non-negative int (a bool is not)."""
+    if type(free_loops) is not int or free_loops < 0:
+        raise CodeError("free_loops must be a non-negative int")
+
+
 # ---------------------------------------------------------------------------
 # Gauss codes
 
@@ -66,8 +73,9 @@ class GaussCode:
     free_loops: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.free_loops, int) or self.free_loops < 0:
-            raise CodeError("free_loops must be a non-negative int")
+        _check_free_loops(self.free_loops)
+        if not (isinstance(self.words, tuple) and all(isinstance(w, tuple) for w in self.words)):
+            raise CodeError("words must be a tuple of tuples")
         counts: dict[Hashable, int] = {}
         for w in self.words:
             if len(w) == 0:
@@ -167,43 +175,39 @@ class CanonicalCode(NamedTuple):
 # Framed 4-valent graphs
 
 
-class FramedDiagram:
+class FramedDiagram(namedtuple("FramedDiagram", "labels mate free_loops")):
     """4-valent framed graph as a flat perfect matching on half-edges.
 
     ``labels`` holds the vertex ids in increasing order.  Half-edge
     ``h = 4*i + s`` is slot ``s`` of vertex ``labels[i]``, its opposite slot
     is ``h ^ 2``, and ``mate[h]`` is the half-edge joined to it; so the
     integer order of half-edges is the order of their ``(vertex, slot)``
-    pairs.  ``free_loops`` counts the circles without crossings.  Instances
-    are treated as immutable; operations build new ones."""
+    pairs.  ``free_loops`` counts the circles without crossings.  A named
+    tuple, like ``CanonicalCode``; ``mate`` is a list, so it has no hash.
+    The constructor checks its input; the package builds the diagrams it
+    derives with ``_make``, which skips the checks.  Instances are treated
+    as immutable; operations build new ones."""
 
-    __slots__ = ("labels", "mate", "free_loops")
+    __slots__ = ()
 
-    def __init__(self, labels: tuple, mate: list, free_loops: int = 0, validate: bool = True):
-        self.labels = labels
-        self.mate = mate
-        self.free_loops = free_loops
-        if validate:
-            self._check()
-
-    def _check(self):
-        if not isinstance(self.free_loops, int) or self.free_loops < 0:
-            raise CodeError("free_loops must be a non-negative int")
-        if not (isinstance(self.labels, tuple) and isinstance(self.mate, list)):
+    def __new__(cls, labels: tuple, mate: list, free_loops: int = 0):
+        _check_free_loops(free_loops)
+        if not (isinstance(labels, tuple) and isinstance(mate, list)):
             raise CodeError("labels must be a tuple and mate a list")
         try:
-            if any(a >= b for a, b in zip(self.labels, self.labels[1:])):
+            if any(a >= b for a, b in zip(labels, labels[1:])):
                 raise CodeError("vertex labels must be distinct and increasing")
         except TypeError:
             raise CodeError("vertex labels must compare with each other") from None
-        n = len(self.mate)
-        if n != 4 * len(self.labels):
-            raise CodeError(f"{n} half-edges for {len(self.labels)} vertices; each vertex has slots 0..3")
-        for h, g in enumerate(self.mate):
-            if g not in range(n) or self.mate[g] != h:
+        n = len(mate)
+        if n != 4 * len(labels):
+            raise CodeError(f"{n} half-edges for {len(labels)} vertices; each vertex has slots 0..3")
+        for h, g in enumerate(mate):
+            if type(g) is not int or g not in range(n) or mate[g] != h:
                 raise CodeError(f"mate is not an involution at half-edge {h}")
             if h == g:
                 raise CodeError(f"half-edge {h} matched to itself")
+        return super().__new__(cls, labels, mate, free_loops)
 
     def vertices(self) -> list:
         return list(self.labels)
@@ -231,17 +235,6 @@ class FramedDiagram:
         """Edges as sorted (min, max) pairs of ``(vertex, slot)`` half-edges."""
         return [(self.half_edge(h), self.half_edge(g)) for h, g in enumerate(self.mate) if h < g]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FramedDiagram)
-            and self.labels == other.labels
-            and self.mate == other.mate
-            and self.free_loops == other.free_loops
-        )
-
-    def __repr__(self) -> str:
-        return f"FramedDiagram({self.vertex_count} vertices, {self.free_loops} free loops)"
-
 
 def to_framed(code: GaussCode | CanonicalCode | FramedDiagram) -> FramedDiagram:
     """Build the framed graph of a code (a ``FramedDiagram`` is returned as
@@ -261,7 +254,7 @@ def to_framed(code: GaussCode | CanonicalCode | FramedDiagram) -> FramedDiagram:
             passes.append(entry[lab])
             entry[lab] += 1
         thread(mate, passes)
-    return FramedDiagram(labels, mate, code.free_loops, validate=False)
+    return FramedDiagram._make((labels, mate, code.free_loops))
 
 
 def thread(mate: list, passes, ends=None) -> None:
@@ -372,7 +365,7 @@ def splice_out_at(d: FramedDiagram, repairings: dict) -> FramedDiagram:
     for i, pairing in repairings.items():
         free += remove_vertex(mate, i, pairing)
     kept = [i for i in range(d.vertex_count) if i not in repairings]
-    return FramedDiagram(tuple([d.labels[i] for i in kept]), renumber(mate, kept), free, validate=False)
+    return FramedDiagram._make((tuple([d.labels[i] for i in kept]), renumber(mate, kept), free))
 
 
 def fresh_vertex_ids(d: FramedDiagram, count: int) -> list:

@@ -226,7 +226,7 @@ def _grown(d: FramedDiagram, mate: list, free_loops: int, count: int) -> FramedD
         old = len(d.labels)
         order = list(heapq.merge(range(old), sorted(range(old, len(labels)), key=key), key=key))
         labels, mate = tuple(map(key, order)), renumber(mate, order)
-    return FramedDiagram(labels, mate, free_loops, validate=False)
+    return FramedDiagram._make((labels, mate, free_loops))
 
 
 def _apply(d: FramedDiagram, move) -> FramedDiagram:
@@ -252,7 +252,7 @@ def _apply(d: FramedDiagram, move) -> FramedDiagram:
         # the slots the external ends vacate form the new triangle
         for h, g in sites:
             mate[h ^ 2], mate[g ^ 2] = g ^ 2, h ^ 2
-        return FramedDiagram(d.labels, mate, d.free_loops, validate=False)
+        return FramedDiagram._make((d.labels, mate, d.free_loops))
     # an increase appends its fresh vertices u (and v) and lays a strand
     # through them along each site; old half-edges keep their numbers
     u = len(d.mate)
@@ -418,7 +418,7 @@ def _decrease(mate: list, free_loops: int, kinks: bool) -> FramedDiagram:
                 continue
         todo.extend([x >> 2 for x in ends if mate[x] >= 0])
     kept = [i for i in range(len(mate) >> 2) if mate[4 * i] >= 0]
-    return FramedDiagram(tuple(kept), renumber(mate, kept), free_loops, validate=False)
+    return FramedDiagram._make((tuple(kept), renumber(mate, kept), free_loops))
 
 
 def _reduce(mate: list, free_loops: int) -> CanonicalCode:
@@ -433,7 +433,7 @@ def _untangle(d: FramedDiagram) -> FramedDiagram:
     passages lie on, so every kept chord keeps its Gaussian and its
     component parity."""
     u = _decrease(d.mate[:], d.free_loops, kinks=True)
-    return FramedDiagram(tuple(map(d.labels.__getitem__, u.labels)), u.mate, u.free_loops, validate=False)
+    return FramedDiagram._make((tuple(map(d.labels.__getitem__, u.labels)), u.mate, u.free_loops))
 
 
 def reduce_r2(code: GaussCode | CanonicalCode | FramedDiagram):

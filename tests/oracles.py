@@ -339,7 +339,7 @@ def naive_apply_r3(d, m: MoveInstance):
             mate[moved.get(h, h)] = moved.get(g, g)
     for x, y in new_triangle:
         mate[at[x]], mate[at[y]] = at[y], at[x]
-    return FramedDiagram(d.labels, mate, d.free_loops, validate=False)
+    return FramedDiagram._make((d.labels, mate, d.free_loops))
 
 
 def naive_find_all_moves(d, max_vertices: int) -> list[MoveInstance]:
@@ -684,7 +684,7 @@ def dfs_state_sum(d: FramedDiagram, odd: frozenset, knot: bool) -> set:
             odd ^= {(state, loops)}
     support: set = set()
     for m, loops in odd:
-        reduced, saw = reduce_r2(FramedDiagram(labels[:live], list(m), loops, validate=False))
+        reduced, saw = reduce_r2(FramedDiagram._make((labels[:live], list(m), loops)))
         if knot or not saw:
             support ^= {reduced}
     return support

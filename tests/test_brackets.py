@@ -65,6 +65,11 @@ def test_smooth_single_kink_free_loop_counts():
     assert sorted(resolve(d, {"a": c}).free_loops for c in "AB") == [1, 2]
 
 
+def test_resolve_rejects_an_unknown_choice():
+    with pytest.raises(CodeError, match="must be 'A' or 'B'"):
+        resolve(to_framed(code("a a")), {"a": "C"})
+
+
 def test_smooth_splits_crossed_pair():
     d = to_framed(code("a b a b"))
     split = split_smoothing(d, "a")
@@ -124,8 +129,10 @@ def test_formal_sum_xor_does_not_recheck_terms(monkeypatch):
 
 
 def test_formal_sum_rejects_wrong_context_members():
-    with pytest.raises(CodeError):
-        formal_sum(CTX_KNOT, {canon("a b | a b")})  # two components
+    with pytest.raises(CodeError, match="must have one component"):
+        formal_sum(CTX_KNOT, {canon("a b c d e f g h | a d g b e h c f")})  # two components, R2-irreducible
+    with pytest.raises(CodeError, match="must be canonical codes"):
+        formal_sum(CTX_KNOT, {code("a a")})  # a Gauss code, not its canonical form
     with pytest.raises(CodeError):
         formal_sum(CTX_LINK, {canon("O")})  # free loop is zero here
     with pytest.raises(CodeError):

@@ -260,6 +260,18 @@ def test_state_sum_budget_counts_no_kink(capsys):
     assert out == "O\n"
 
 
+@pytest.mark.parametrize("argv, status, message", [
+    (("enumerate", "9", "1"), 3, "enumeration is bounded at 8 chords"),
+    (("enumerate", "-1", "1"), 2, "n and k must be non-negative"),
+    (("random", "-1", "1", "--seed", "1"), 2, "n and k must be non-negative"),
+    (("realizable", "a b"), 1, "adjacency line 'a b' lacks ':'"),
+    (("realizable", ": b"), 1, "adjacency line ': b' lacks a vertex"),
+    (("realizable", "a: a"), 1, "loop at 'a' not allowed"),
+])
+def test_documented_errors_exit_with_their_status(capsys, argv, status, message):
+    assert run(capsys, *argv) == (status, "", f"error: {message}\n")
+
+
 def test_search_budget_exit_code(capsys, monkeypatch):
     # unbudgeted, this search visits 3 classes and misses its target (exit 3 too)
     monkeypatch.setattr(analysis, "SEARCH_MAX_VISITED", 2)

@@ -175,6 +175,8 @@ def test_framed_diagram_accepts_a_valid_matching():
     (("a", "a"), [3, 2, 1, 0, 7, 6, 5, 4], 0, "distinct and increasing"),
     (("a", 1), [3, 2, 1, 0, 7, 6, 5, 4], 0, "must compare"),
     ((), [], 1.5, "non-negative int"),
+    ((), [], True, "non-negative int"),
+    (("a",), [1.0, 0, 3, 2], 0, "not an involution"),
 ])
 def test_framed_diagram_rejects_invalid_input(labels, mate, loops, match):
     with pytest.raises(CodeError, match=match):
@@ -187,6 +189,9 @@ def test_framed_diagram_rejects_invalid_input(labels, mate, loops, match):
     (((),), 0, "empty component"),
     ((("a", "b", "a"),), 0, "exactly twice"),
     (((1, "a", 1, "a"),), 0, "must compare"),
+    ((("a", "a"),), True, "non-negative int"),
+    ([("a", "a")], 0, "a tuple of tuples"),
+    ((["a", "a"],), 0, "a tuple of tuples"),
 ])
 def test_gauss_code_rejects_invalid_input(words, loops, match):
     with pytest.raises(CodeError, match=match):

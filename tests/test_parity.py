@@ -3,10 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeknot import parity as parity_module
 from freeknot.analysis import load_fixture, random_diagram, random_moves
 from freeknot.diagrams import (
     CanonicalCode,
     CodeError,
+    FramedDiagram,
     GaussCode,
     PreconditionError,
     canonicalize,
@@ -18,6 +20,7 @@ from freeknot.moves import find_all_moves
 from freeknot.parity import (
     COMPONENT,
     GAUSSIAN,
+    ParityAssignment,
     check_parity_axioms,
     component_parity,
     gaussian_parity,
@@ -110,6 +113,10 @@ def test_orientable_examples():
     assert source_sink_orientable(to_framed(code("a b a b"))) is False
     assert source_sink_orientable(to_framed(GaussCode((), 0))) is True
     assert source_sink_orientable(to_framed(GaussCode((), 2))) is True
+    # edges that join two slots of one vertex: a constraint pairs an edge with itself
+    assert source_sink_orientable(to_framed(code("a | a"))) is False
+    assert source_sink_orientable(FramedDiagram(("a",), [1, 0, 3, 2])) is True
+    assert source_sink_orientable(FramedDiagram(("a",), [2, 3, 0, 1])) is False
 
 
 def test_orientability_equals_all_even_small_sweep():
@@ -215,6 +222,32 @@ def test_axioms_on_small_enumeration():
                 d = to_framed(can.code())
                 for m in find_all_moves(d, d.vertex_count + 2):
                     assert check_parity_axioms(d, m, rule) == []
+
+
+def _slot_0_leads_up(d, rule: str) -> ParityAssignment:
+    """A wrong rule: a chord is odd when slot 0 of its vertex is joined to a
+    higher half-edge.  It breaks every axiom on some move of 4 chords or fewer."""
+    d = to_framed(d)
+    odd = frozenset(v for i, v in enumerate(d.labels) if d.mate[4 * i] > 4 * i)
+    return ParityAssignment(rule, odd, tuple(sorted(d.labels, key=str)))
+
+
+def test_axiom_checker_reports_each_violation_of_a_wrong_rule(monkeypatch):
+    real = parity_module.parity
+    monkeypatch.setattr(parity_module, "parity",
+                        lambda d, rule: real(d, rule) if rule in (GAUSSIAN, COMPONENT) else _slot_0_leads_up(d, rule))
+    reports = {GAUSSIAN: [], COMPONENT: [], "wrong": []}
+    for n in range(5):
+        for k, rule in ((1, GAUSSIAN), (2, COMPONENT)):
+            for can in enumerate_codes(n, k):
+                d = to_framed(can.code())
+                for m in find_all_moves(d, d.vertex_count + 2):
+                    reports[rule] += check_parity_axioms(d, m, rule)
+                    reports["wrong"] += check_parity_axioms(d, m, "wrong")
+    assert reports[GAUSSIAN] == reports[COMPONENT] == []
+    for start in ("spectator ", "R1 crossing ", "added R1 crossing ", "R2 pair ", "added R2 pair ",
+                  "R3 corner ", "R3 triangle "):
+        assert any(msg.startswith(start) for msg in reports["wrong"]), start
 
 
 @settings(max_examples=60, deadline=None)
