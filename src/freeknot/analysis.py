@@ -101,9 +101,8 @@ def intersection_graph(code) -> InterlacementGraph:
 def parse_adjacency(text: str) -> InterlacementGraph:
     """Adjacency-list grammar: one line per vertex, ``u: v w ...``;
     lines may also be separated by ';'.  Vertex names hold no whitespace."""
-    verts: list = []
+    verts: set = set()
     edges: set = set()
-    seen: set = set()
     for raw in text.replace(";", "\n").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -116,15 +115,11 @@ def parse_adjacency(text: str) -> InterlacementGraph:
             raise CodeError(f"adjacency line {line!r} lacks a vertex")
         if len(u.split()) > 1:
             raise CodeError(f"vertex name {u!r} contains whitespace")
-        if u not in seen:
-            seen.add(u)
-            verts.append(u)
+        verts.add(u)
         for v in rest.split():
             if v == u:
                 raise CodeError(f"loop at {u!r} not allowed")
-            if v not in seen:
-                seen.add(v)
-                verts.append(v)
+            verts.add(v)
             edges.add(frozenset((u, v)))
     return InterlacementGraph(tuple(sorted(verts)), frozenset(edges))
 

@@ -72,18 +72,20 @@ STATE_SUM_MAX_EVENS = 20
 
 
 class FormalSum(namedtuple("FormalSum", "terms context")):
-    """GF(2) combination of canonical reduced diagrams: membership in
-    ``terms`` is coefficient 1, addition is symmetric difference.  A named
-    tuple.  The constructor checks the context and every member; the
-    invariants build their sums with ``_make``, which skips the checks, as
-    their terms are R2-reduced canonical codes (``moves._reduce``) already
-    filtered for the context."""
+    """GF(2) combination of canonical reduced diagrams: membership in the
+    frozenset ``terms`` is coefficient 1, addition is symmetric difference.
+    A named tuple.  The constructor checks the context, the type of
+    ``terms`` and every member; the invariants build their sums with
+    ``_make``, which skips the checks, as their terms are R2-reduced
+    canonical codes (``moves._reduce``) already filtered for the context."""
 
     __slots__ = ()
 
     def __new__(cls, terms: frozenset, context: str):
         if context not in (CTX_KNOT, CTX_LINK, CTX_LINK2):
             raise CodeError(f"unknown context {context!r}")
+        if type(terms) is not frozenset:
+            raise CodeError("formal sum terms must be a frozenset")
         for t in terms:
             _check_member(t, context)
         return super().__new__(cls, terms, context)

@@ -11,6 +11,7 @@ the circles in turn, a bit per chord.  A running XOR of the chords met once,
 taken at both ends of a chord, gives the chords with one end between them:
 its neighbours on one circle; chords still open at a circle's end span two.
 A framed graph is read by vertex number; no Gauss code is rebuilt from it.
+Source-sink orientability comes from the same circles: a bit per circle.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 from . import moves as _moves
 from .diagrams import (
+    CodeError,
     FramedDiagram,
     PreconditionError,
     as_code,
@@ -32,11 +34,17 @@ COMPONENT = "component"
 
 @dataclass(frozen=True)
 class InterlacementGraph:
-    """Simple graph on chord labels; edge iff the endpoints of the two
-    chords alternate around a common circle."""
+    """Simple graph on chord labels, checked when built; edge iff the
+    endpoints of the two chords alternate around a common circle."""
 
     vertices: tuple
     edges: frozenset  # of 2-element frozensets
+
+    def __post_init__(self):
+        vs = set(self.vertices)
+        if len(vs) < len(self.vertices) or type(self.edges) is not frozenset or not all(
+                type(e) is frozenset and len(e) == 2 and e <= vs for e in self.edges):
+            raise CodeError("interlacement graph needs distinct vertices and edges of two of them")
 
     def degree(self, x) -> int:
         return sum(1 for e in self.edges if x in e)
@@ -144,40 +152,34 @@ def parity(code, rule: str) -> ParityAssignment:
 
 def source_sink_orientable(d) -> bool:
     """True iff the edges can be directed so that at every vertex one
-    opposite pair points in and the other points out.  Decided by parity
-    propagation over the edge-direction variables of the framed graph;
-    free loops are vacuously orientable."""
-    mate = to_framed(d).mate
-    # edge e is named by its lesser half-edge; its end h points into its
-    # vertex iff x_e XOR (h is the greater end).  Constraints: x_e1 ^ x_e2 = rhs
-    adj: dict = {min(h, g): [] for h, g in enumerate(mate)}
-    for v in range(0, len(mate), 4):
-        for h1, h2, flip in ((v, v + 2, 0), (v + 1, v + 3, 0), (v, v + 1, 1)):
-            e1, e2 = min(h1, mate[h1]), min(h2, mate[h2])
-            rhs = (h1 > mate[h1]) ^ (h2 > mate[h2]) ^ flip
-            if e1 == e2:
-                if rhs != 0:
-                    return False
-                continue
-            adj[e1].append((e2, rhs))
-            adj[e2].append((e1, rhs))
-
-    value: dict = {}
-    for start in adj:
-        if start in value:
-            continue
-        value[start] = 0
-        stack = [start]
+    opposite pair points in and the other out; free loops are vacuously
+    orientable.  A passage enters and leaves through one opposite pair,
+    which points in or out as a whole, so along a circle the edges point
+    alternately with and against the walk: every circle has even length and
+    one phase bit fixes its edges.  The two passages of a vertex, at
+    positions p1 and p2 of circles c1 and c2, differ, so
+    phase(c1) ^ phase(c2) = 1 ^ ((p1 ^ p2) & 1)."""
+    seqs = circles(to_framed(d).mate)
+    first: dict = {}  # vertex -> (circle, position) of its first passage
+    rel: list = [[] for _ in seqs]  # circle -> [(circle, phase difference)]
+    for c, seq in enumerate(seqs):
+        if len(seq) & 1:
+            return False
+        for p, h in enumerate(seq):
+            c1, p1 = first.setdefault(h >> 2, (c, p))
+            if (c1, p1) != (c, p):  # the vertex's second passage
+                rel[c1].append((c, (p1 ^ p ^ 1) & 1))
+                rel[c].append((c1, (p1 ^ p ^ 1) & 1))
+    phase: list = [None] * len(seqs)
+    for start in range(len(seqs)):
+        stack = [(start, 0)] if phase[start] is None else []
         while stack:
-            e = stack.pop()
-            for f, rhs in adj[e]:
-                want = value[e] ^ rhs
-                if f in value:
-                    if value[f] != want:
-                        return False
-                else:
-                    value[f] = want
-                    stack.append(f)
+            c, x = stack.pop()
+            if phase[c] is None:
+                phase[c] = x
+                stack.extend((f, x ^ r) for f, r in rel[c])
+            elif phase[c] != x:
+                return False
     return True
 
 

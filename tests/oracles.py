@@ -27,6 +27,8 @@ chord arrangement (``raw_arrangements``), not grown chord by chord.
 Interlacement and both parities are recomputed on the Gauss code's words,
 by a span test on every pair of chords and a scan of each label's word,
 and the brackets' oracles take their even crossings from these.
+Source-sink orientability is also decided over the edges of the framed
+graph, one direction bit per edge and three XOR constraints per vertex.
 """
 
 from __future__ import annotations
@@ -807,6 +809,49 @@ def naive_is_irreducibly_odd(code) -> bool:
     for a, b in itertools.combinations(g.vertices, 2):
         if not (nbr[a] ^ nbr[b]) - {a, b}:
             return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Source-sink orientability by XOR constraints on the edges
+
+
+def naive_source_sink_orientable(d) -> bool:
+    """True iff the edges can be directed so that at every vertex one
+    opposite pair points in and the other points out.  Decided by parity
+    propagation over the edge-direction variables of the framed graph;
+    free loops are vacuously orientable."""
+    mate = to_framed(d).mate
+    # edge e is named by its lesser half-edge; its end h points into its
+    # vertex iff x_e XOR (h is the greater end).  Constraints: x_e1 ^ x_e2 = rhs
+    adj: dict = {min(h, g): [] for h, g in enumerate(mate)}
+    for v in range(0, len(mate), 4):
+        for h1, h2, flip in ((v, v + 2, 0), (v + 1, v + 3, 0), (v, v + 1, 1)):
+            e1, e2 = min(h1, mate[h1]), min(h2, mate[h2])
+            rhs = (h1 > mate[h1]) ^ (h2 > mate[h2]) ^ flip
+            if e1 == e2:
+                if rhs != 0:
+                    return False
+                continue
+            adj[e1].append((e2, rhs))
+            adj[e2].append((e1, rhs))
+
+    value: dict = {}
+    for start in adj:
+        if start in value:
+            continue
+        value[start] = 0
+        stack = [start]
+        while stack:
+            e = stack.pop()
+            for f, rhs in adj[e]:
+                want = value[e] ^ rhs
+                if f in value:
+                    if value[f] != want:
+                        return False
+                else:
+                    value[f] = want
+                    stack.append(f)
     return True
 
 

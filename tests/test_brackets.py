@@ -10,6 +10,7 @@ from freeknot.brackets import (
     CTX_LINK,
     CTX_LINK2,
     STATE_SUM_MAX_EVENS,
+    FormalSum,
     alex_bracket,
     delta,
     delta_terms,
@@ -141,6 +142,9 @@ def test_formal_sum_rejects_wrong_context_members():
         formal_sum(CTX_KNOT, {canon("a b b a")})  # reducible
     with pytest.raises(CodeError):
         formal_sum("bogus")  # no such context, even with no terms
+    for terms in ({canon("a a")}, [canon("a a")]):  # hash() and ^ would fail later
+        with pytest.raises(CodeError, match="must be a frozenset"):
+            FormalSum(terms, CTX_KNOT)
 
 
 def test_formal_sum_rejects_mixed_addition():

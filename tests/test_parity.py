@@ -12,6 +12,7 @@ from freeknot.diagrams import (
     GaussCode,
     PreconditionError,
     canonicalize,
+    circles,
     enumerate_codes,
     parse_gauss_code,
     to_framed,
@@ -20,6 +21,7 @@ from freeknot.moves import find_all_moves
 from freeknot.parity import (
     COMPONENT,
     GAUSSIAN,
+    InterlacementGraph,
     ParityAssignment,
     check_parity_axioms,
     component_parity,
@@ -29,10 +31,12 @@ from freeknot.parity import (
     source_sink_orientable,
 )
 from oracles import (
+    _perfect_matchings,
     naive_component_parity,
     naive_gaussian_parity,
     naive_interlacement,
     naive_is_irreducibly_odd,
+    naive_source_sink_orientable,
 )
 
 
@@ -78,6 +82,18 @@ def test_dot_export():
     assert dot.endswith("}")
 
 
+@pytest.mark.parametrize("vertices, edges", [
+    (("a",), frozenset({frozenset("ab")})),  # an edge to an unlisted vertex
+    (("a",), frozenset({frozenset("a")})),  # a one-element edge
+    (("a", "a"), frozenset()),  # a repeated vertex
+    (("a", "b"), {frozenset("ab")}),  # edges not a frozenset
+    (("a", "b"), frozenset({("a", "b")})),  # an edge not a frozenset
+])
+def test_interlacement_graph_rejects_malformed_input(vertices, edges):
+    with pytest.raises(CodeError, match="interlacement graph needs"):
+        InterlacementGraph(vertices, edges)
+
+
 # ---------------------------------------------------------------------------
 # parities
 
@@ -117,6 +133,26 @@ def test_orientable_examples():
     assert source_sink_orientable(to_framed(code("a | a"))) is False
     assert source_sink_orientable(FramedDiagram(("a",), [1, 0, 3, 2])) is True
     assert source_sink_orientable(FramedDiagram(("a",), [2, 3, 0, 1])) is False
+
+
+def test_orientability_matches_edge_constraint_oracle():
+    # every framed graph on at most 3 vertices, every other one with a free
+    # loop: 1-6 circles, kinks, and the opposite-slot loops of the examples above
+    seen_circles = set()
+    for v in range(4):
+        for i, matching in enumerate(_perfect_matchings(tuple(range(4 * v)))):
+            mate = [0] * (4 * v)
+            for a, b in matching:
+                mate[a], mate[b] = b, a
+            seen_circles.add(len(circles(mate)))
+            d = FramedDiagram(tuple(range(v)), mate, i & 1)
+            assert source_sink_orientable(d) == naive_source_sink_orientable(d), d
+    assert seen_circles >= {1, 2, 3}
+    rng = random.Random(3)  # and larger ones: scrambles of 2-9 chords on 1-4 circles
+    for _ in range(500):
+        c = random_diagram(rng.randint(2, 9), rng.randint(1, 4), rng)
+        c = random_moves(c, rng.randint(0, 5), 12, rng)
+        assert source_sink_orientable(c) == naive_source_sink_orientable(c), c
 
 
 def test_orientability_equals_all_even_small_sweep():
